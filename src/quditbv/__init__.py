@@ -26,7 +26,6 @@ from .budget import (
     check_capacity,
     set_amplitude_budget,
 )
-from .cli import ExperimentConfig, emit_report, parse_config, run_experiment
 from .errors import CapacityError, ConsistencyError, DomainError, QuditError
 from .gates import (
     FourierDirection,
@@ -68,7 +67,6 @@ __all__ = [
     "ConsistencyError",
     "DEFAULT_AMPLITUDE_BUDGET",
     "DomainError",
-    "ExperimentConfig",
     "FourierDirection",
     "GateMatrix",
     "LinearOracle",
@@ -86,7 +84,6 @@ __all__ = [
     "decode_index",
     "dense_operator",
     "dense_reference_bv",
-    "emit_report",
     "encode_digits",
     "fourier_basis_state",
     "fourier_matrix",
@@ -98,7 +95,6 @@ __all__ = [
     "marginal_probabilities",
     "measure_register",
     "omega_powers",
-    "parse_config",
     "pipeline_check",
     "quantum_bv_states",
     "random_secret",
@@ -106,7 +102,6 @@ __all__ = [
     "root_of_unity_sum",
     "run_all_checks",
     "run_classical_bv",
-    "run_experiment",
     "run_quantum_bv",
     "set_amplitude_budget",
     "sum_matrix",

@@ -25,7 +25,7 @@ import numpy as np
 
 from .budget import check_capacity
 from .errors import ConsistencyError, DomainError
-from .gates import FourierDirection, apply_local_gate, fourier_matrix, omega_powers
+from .gates import FourierDirection, _check_position, apply_local_gate, fourier_matrix, omega_powers
 from .oracle import LinearOracle
 from .state import Statevector, basis_state, decode_index, validate_digits
 
@@ -84,9 +84,12 @@ def fourier_basis_state(s: Sequence[int], d: int) -> Statevector:
     n = len(s)
     size = d**n
     check_capacity(size)
-    digit_grid = np.array(np.unravel_index(np.arange(size), (d,) * n))
-    phases = (np.asarray(s) @ digit_grid) % d
-    return Statevector(omega_powers(d)[phases] / np.sqrt(size), d, n)
+    # (s . x) mod d over the big-endian index, one appended digit at a time.
+    phases = np.zeros(1, dtype=np.int64)
+    for s_i in s:
+        phases = (phases[:, None] + s_i * np.arange(d)).reshape(-1)
+        phases %= d
+    return Statevector((omega_powers(d) / np.sqrt(size))[phases], d, n)
 
 
 def quantum_bv_states(oracle: LinearOracle) -> QuantumTrace:
@@ -118,14 +121,11 @@ def marginal_probabilities(state: Statevector, qudits: Sequence[int]) -> np.ndar
     probability strays from 1 beyond ``PROBABILITY_SUM_TOL``.
     """
     k = state.qudit_count
-    kept = [int(q) for q in qudits]
+    kept = [_check_position(q, k, "qudit position") for q in qudits]
     if not kept:
         raise DomainError("at least one qudit must be kept")
     if len(set(kept)) != len(kept):
         raise DomainError(f"duplicate qudit positions in {kept}")
-    for q in kept:
-        if not 1 <= q <= k:
-            raise DomainError(f"qudit position {q} is outside 1..{k}")
     probs = np.abs(state.amplitudes) ** 2
     total = float(probs.sum())
     if abs(total - 1.0) > PROBABILITY_SUM_TOL:
@@ -148,12 +148,13 @@ def measure_register(
     Deterministic for a given generator state: one uniform draw is placed in
     the cumulative distribution over ascending basis indices.
     """
+    qudits = tuple(qudits)
     probs = marginal_probabilities(state, qudits)
     cdf = np.cumsum(probs)
     cdf[-1] = max(cdf[-1], 1.0)
     index = int(np.searchsorted(cdf, rng.random(), side="right"))
     index = min(index, probs.size - 1)
-    digits = decode_index(index, state.d, len(list(qudits)))
+    digits = decode_index(index, state.d, len(qudits))
     return MeasurementOutcome(digits, float(min(probs[index], 1.0)))
 
 

@@ -20,7 +20,7 @@ import numpy as np
 from .algorithm import RunReport, run_classical_bv, run_quantum_bv
 from .errors import CapacityError, ConsistencyError, DomainError
 from .oracle import LinearOracle, random_secret
-from .state import validate_digits
+from .state import check_int, validate_digits
 from .verification import run_all_checks
 
 MODES = ("quantum", "classical", "both")
@@ -46,7 +46,6 @@ class ExperimentConfig:
     secret: tuple[int, ...]
     mode: str
     seed: int = 0
-    shots: int = 1
     output_format: str = "json"
 
     def __post_init__(self) -> None:
@@ -54,16 +53,11 @@ class ExperimentConfig:
         object.__setattr__(self, "secret", secret)
         if self.mode not in MODES:
             raise DomainError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if not isinstance(self.seed, (int, np.integer)) or isinstance(self.seed, bool):
-            raise DomainError(f"seed must be an integer, got {self.seed!r}")
-        if not isinstance(self.shots, (int, np.integer)) or self.shots < 1:
-            raise DomainError(f"shots must be a positive integer, got {self.shots!r}")
+        object.__setattr__(self, "seed", check_int(self.seed, "seed"))
         if self.output_format not in FORMATS:
             raise DomainError(
                 f"output format must be one of {FORMATS}, got {self.output_format!r}"
             )
-        object.__setattr__(self, "seed", int(self.seed))
-        object.__setattr__(self, "shots", int(self.shots))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -84,7 +78,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run_cmd.add_argument("--mode", choices=MODES, default="quantum")
     run_cmd.add_argument("--seed", type=int, default=0)
-    run_cmd.add_argument("--shots", type=int, default=1, help="independent repetitions")
     run_cmd.add_argument("--format", choices=FORMATS, default="json", dest="output_format")
 
     sweep_cmd = commands.add_parser(
@@ -128,7 +121,6 @@ def _config_from_args(
             secret=secret,
             mode=args.mode,
             seed=args.seed,
-            shots=args.shots,
             output_format=args.output_format,
         )
     except DomainError as exc:
@@ -151,7 +143,7 @@ def parse_config(argv: Sequence[str]) -> ExperimentConfig:
 
 
 def run_experiment(config: ExperimentConfig) -> list[RunReport]:
-    """Execute the configured runs, one fresh oracle per run.
+    """Execute the configured run, one fresh oracle per solver.
 
     With ``mode="both"`` the quantum and classical solvers are given separate
     oracles holding the same secret, so each report's query count reflects
@@ -159,11 +151,10 @@ def run_experiment(config: ExperimentConfig) -> list[RunReport]:
     """
     modes = ("quantum", "classical") if config.mode == "both" else (config.mode,)
     reports = []
-    for _ in range(config.shots):
-        for mode in modes:
-            oracle = LinearOracle(config.secret, config.d)
-            solver = run_quantum_bv if mode == "quantum" else run_classical_bv
-            reports.append(solver(oracle, seed=config.seed))
+    for mode in modes:
+        oracle = LinearOracle(config.secret, config.d)
+        solver = run_quantum_bv if mode == "quantum" else run_classical_bv
+        reports.append(solver(oracle, seed=config.seed))
     return reports
 
 

@@ -2,8 +2,10 @@
 
 Two independent execution routes are provided on purpose:
 
-* :func:`apply_local_gate` and :func:`apply_sum` act in place on the strided
-  amplitude array without ever forming the full operator.
+* :func:`apply_local_gate` and :func:`apply_sum` act on the strided
+  amplitude array without ever forming the full operator.  SUM powers share
+  one modular-add kernel, :func:`_sum_power`, which the oracle also uses to
+  apply its ``SUM**s_i`` gates.
 * :func:`dense_operator` builds the full ``d**k x d**k`` matrix for a gate
   sequence, for cross-checking the strided route on small registers.
 """
@@ -18,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import CapacityError, DomainError
-from .state import Statevector, check_dimension, decode_index, encode_digits
+from .state import Statevector, check_dimension, check_int, decode_index, encode_digits
 
 UNITARITY_TOL = 1e-12
 DENSE_DIM_LIMIT = 256
@@ -110,11 +112,10 @@ def sum_matrix(d: int) -> GateMatrix:
 
 
 def _check_position(pos: int, qudit_count: int, label: str = "position") -> int:
-    if not isinstance(pos, (int, np.integer)) or isinstance(pos, bool):
-        raise DomainError(f"{label} must be an integer, got {pos!r}")
+    pos = check_int(pos, label)
     if not 1 <= pos <= qudit_count:
         raise DomainError(f"{label} {pos} is outside 1..{qudit_count}")
-    return int(pos)
+    return pos
 
 
 def apply_local_gate(state: Statevector, gate: GateMatrix, pos: int) -> Statevector:
@@ -139,13 +140,32 @@ def apply_local_gate(state: Statevector, gate: GateMatrix, pos: int) -> Statevec
     return Statevector(out.reshape(-1), d, k)
 
 
+def _sum_power(cube: np.ndarray, out: np.ndarray, control_ax: int, target_ax: int, m: int) -> None:
+    """Write SUM**m of a raw ``(d,)*k`` amplitude array into ``out``.
+
+    Target digit ``j`` under control digit ``i`` moves to ``(j + m*i) mod d``.
+    Each control slice is rotated along the target axis by two slice copies,
+    so every output amplitude is written exactly once and no index array is
+    formed.  ``out`` must not overlap ``cube``.
+    """
+    d = cube.shape[control_ax]
+    src: list[slice | int] = [slice(None)] * cube.ndim
+    dst: list[slice | int] = [slice(None)] * cube.ndim
+    for i in range(d):
+        src[control_ax] = dst[control_ax] = i
+        shift = (m * i) % d
+        src[target_ax], dst[target_ax] = slice(0, d - shift), slice(shift, d)
+        out[tuple(dst)] = cube[tuple(src)]
+        src[target_ax], dst[target_ax] = slice(d - shift, d), slice(0, shift)
+        out[tuple(dst)] = cube[tuple(src)]
+
+
 def apply_sum(state: Statevector, control: int, target: int) -> Statevector:
     """Apply SUM with the given control and target positions (1-based).
 
     Maps |..i..j..> to |..i..(i+j) mod d..> where i sits at ``control`` and j
-    at ``target``.  Implemented as a pure index permutation: for each control
-    digit ``i`` the target axis is cyclically shifted by ``i``.  No matrix is
-    ever formed.
+    at ``target``.  Implemented as a pure index permutation by
+    :func:`_sum_power`; no matrix is ever formed.
     """
     k = state.qudit_count
     control = _check_position(control, k, "control")
@@ -153,21 +173,9 @@ def apply_sum(state: Statevector, control: int, target: int) -> Statevector:
     if control == target:
         raise DomainError("control and target must be distinct")
     d = state.d
-    # View the array with explicit control and target axes, then roll the
-    # target axis by i within each control slice i.
-    axes_shape = (d,) * k
-    cube = state.amplitudes.reshape(axes_shape)
+    cube = state.amplitudes.reshape((d,) * k)
     out = np.empty_like(cube)
-    control_ax = control - 1
-    target_ax = target - 1
-    index: list[slice | int] = [slice(None)] * k
-    for i in range(d):
-        index[control_ax] = i
-        sliced = cube[tuple(index)]
-        # After fixing the control axis, the target axis shifts left by one
-        # when it sat beyond the control axis.
-        roll_ax = target_ax - 1 if target_ax > control_ax else target_ax
-        out[tuple(index)] = np.roll(sliced, shift=i, axis=roll_ax)
+    _sum_power(cube, out, control - 1, target - 1, 1)
     return Statevector(out.reshape(-1), d, k)
 
 
@@ -195,29 +203,23 @@ def _lift_pair(entries: np.ndarray, first: int, second: int, d: int, k: int) -> 
     return lifted
 
 
-def dense_operator(
-    ops: Sequence[tuple[GateMatrix, Sequence[int]]],
-    qudit_count: int,
-    max_dim: int = DENSE_DIM_LIMIT,
-) -> GateMatrix:
+def dense_operator(ops: Sequence[tuple[GateMatrix, Sequence[int]]], qudit_count: int) -> GateMatrix:
     """Full-register matrix for a gate sequence, for cross-checking only.
 
     ``ops`` lists ``(gate, positions)`` pairs applied left to right (the first
     listed gate acts on the state first).  Single-qudit gates are lifted with
     identity Kronecker factors; two-qudit gates by explicit basis enumeration.
-    Refuses registers with more than ``max_dim`` amplitudes.
+    Refuses registers with more than ``DENSE_DIM_LIMIT`` amplitudes.
     """
     if not ops:
         raise DomainError("dense_operator needs at least one gate")
     d = ops[0][0].d
-    if not isinstance(qudit_count, (int, np.integer)) or isinstance(qudit_count, bool) or qudit_count < 1:
-        raise DomainError(f"qudit_count must be a positive integer, got {qudit_count!r}")
-    k = int(qudit_count)
+    k = check_int(qudit_count, "qudit_count", minimum=1)
     dim = d**k
-    if dim > max_dim:
+    if dim > DENSE_DIM_LIMIT:
         raise CapacityError(
             f"dense operator on {k} qudits of dimension {d} needs {dim}x{dim} entries, "
-            f"above the limit of {max_dim}x{max_dim}"
+            f"above the limit of {DENSE_DIM_LIMIT}x{DENSE_DIM_LIMIT}"
         )
     total = np.eye(dim, dtype=np.complex128)
     for gate, positions in ops:

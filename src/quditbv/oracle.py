@@ -5,7 +5,9 @@ exposes the function ``f(x) = (s . x) mod d`` in two forms:
 
 * ``eval_classical(x)`` returns ``f(x)`` for one digit string;
 * ``apply_quantum(state)`` applies the unitary
-  ``|x>|y> -> |x>|(y + f(x)) mod d>`` to an (n+1)-qudit register.
+  ``|x>|y> -> |x>|(y + f(x)) mod d>`` to an (n+1)-qudit register, as the
+  product of ``SUM**s_i`` gates from input qudit ``i`` to the target, run
+  through the modular-add kernel that :func:`~quditbv.gates.apply_sum` uses.
 
 Each call counts as exactly one query, no matter how large a superposition a
 quantum call touches.  Solvers must recover ``s`` through queries alone; the
@@ -22,7 +24,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError
-from .state import Statevector, check_dimension, validate_digits
+from .gates import _sum_power
+from .state import Statevector, check_dimension, check_int, validate_digits
 
 
 class LinearOracle:
@@ -61,7 +64,8 @@ class LinearOracle:
 
         The state must hold ``n + 1`` qudits of dimension ``d``: the input
         register in positions 1..n and the target qudit at position n+1.
-        The action is a pure permutation of amplitudes.
+        The action is a pure permutation of amplitudes: ``SUM**s_i`` from
+        each input qudit ``i`` with ``s_i != 0`` to the target.
         """
         d, n = self._d, self._n
         if state.d != d:
@@ -70,21 +74,21 @@ class LinearOracle:
             raise DomainError(
                 f"oracle acts on {n + 1} qudits, got a state of {state.qudit_count}"
             )
-        base_count = d**n
-        # f(x) for every input-basis index x, vectorized over the digit grid.
-        digit_grid = np.array(np.unravel_index(np.arange(base_count), (d,) * n))
-        shifts = (np.asarray(self.__secret) @ digit_grid) % d
-        grid = state.amplitudes.reshape(base_count, d)
-        out = np.empty_like(grid)
-        target_cols = (np.arange(d)[None, :] + shifts[:, None]) % d
-        out[np.arange(base_count)[:, None], target_cols] = grid
+        # Passes alternate between two scratch arrays; the caller's amplitudes
+        # are read-only and are never reused as one.
+        cube, spare = state.amplitudes.reshape((d,) * (n + 1)), None
+        for axis, s in enumerate(self.__secret):
+            if s:
+                out = np.empty_like(cube) if spare is None else spare
+                _sum_power(cube, out, axis, n, s)
+                spare, cube = (cube if cube.flags.writeable else None), out
+        spare = None  # free it before the Statevector copy
         self._query_count += 1
-        return Statevector(out.reshape(-1), d, n + 1)
+        return Statevector(cube.reshape(-1), d, n + 1)
 
 
 def random_secret(d: int, n: int, rng: np.random.Generator) -> tuple[int, ...]:
     """Draw a uniform secret string of ``n`` digits in ``[0, d)`` from ``rng``."""
     check_dimension(d)
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
-        raise DomainError(f"secret length must be a positive integer, got {n!r}")
-    return tuple(int(v) for v in rng.integers(0, d, size=int(n)))
+    n = check_int(n, "secret length", minimum=1)
+    return tuple(int(v) for v in rng.integers(0, d, size=n))

@@ -21,11 +21,24 @@ from .budget import check_capacity
 from .errors import DomainError
 
 
+def check_int(value: int, label: str, minimum: int | None = None) -> int:
+    """Validate an integer argument and return it as ``int``.
+
+    Bools and non-integers are rejected, and so are values below ``minimum``
+    when that is given.
+    """
+    if type(value) is not int:  # plain ints skip the slower checks below
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise DomainError(f"{label} must be an integer, got {value!r}")
+        value = int(value)
+    if minimum is not None and value < minimum:
+        raise DomainError(f"{label} must be at least {minimum}, got {value!r}")
+    return value
+
+
 def check_dimension(d: int) -> int:
     """Validate a local dimension (an integer >= 2) and return it as ``int``."""
-    if not isinstance(d, (int, np.integer)) or isinstance(d, bool) or d < 2:
-        raise DomainError(f"local dimension must be an integer >= 2, got {d!r}")
-    return int(d)
+    return check_int(d, "local dimension", minimum=2)
 
 
 def validate_digits(digits: Sequence[int], d: int, length: int | None = None) -> tuple[int, ...]:
@@ -37,11 +50,10 @@ def validate_digits(digits: Sequence[int], d: int, length: int | None = None) ->
     check_dimension(d)
     out = []
     for v in digits:
-        if not isinstance(v, (int, np.integer)) or isinstance(v, bool):
-            raise DomainError(f"digits must be integers, got {v!r}")
+        v = check_int(v, "digit")
         if not 0 <= v < d:
-            raise DomainError(f"digit {int(v)} is outside [0, {d})")
-        out.append(int(v))
+            raise DomainError(f"digit {v} is outside [0, {d})")
+        out.append(v)
     if not out:
         raise DomainError("digit string must be non-empty")
     if length is not None and len(out) != length:
@@ -63,10 +75,7 @@ class Statevector:
 
     def __post_init__(self) -> None:
         d = check_dimension(self.d)
-        k = self.qudit_count
-        if not isinstance(k, (int, np.integer)) or isinstance(k, bool) or k < 1:
-            raise DomainError(f"qudit_count must be a positive integer, got {k!r}")
-        k = int(k)
+        k = check_int(self.qudit_count, "qudit_count", minimum=1)
         amps = np.array(self.amplitudes, dtype=np.complex128)
         if amps.ndim != 1:
             raise DomainError(f"amplitudes must be one-dimensional, got shape {amps.shape}")
@@ -107,13 +116,10 @@ def encode_digits(digits: Sequence[int], d: int) -> int:
 def decode_index(index: int, d: int, n: int) -> tuple[int, ...]:
     """Digit string of length ``n`` whose big-endian encoding is ``index``."""
     check_dimension(d)
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
-        raise DomainError(f"digit count must be a positive integer, got {n!r}")
-    if not isinstance(index, (int, np.integer)) or isinstance(index, bool):
-        raise DomainError(f"index must be an integer, got {index!r}")
+    n = check_int(n, "digit count", minimum=1)
+    index = check_int(index, "index")
     if not 0 <= index < d**n:
         raise DomainError(f"index {index} is outside [0, {d**n})")
-    index = int(index)
     digits = []
     for _ in range(n):
         index, r = divmod(index, d)
@@ -124,9 +130,7 @@ def decode_index(index: int, d: int, n: int) -> tuple[int, ...]:
 def all_digit_strings(d: int, n: int) -> Iterator[tuple[int, ...]]:
     """Iterate all length-``n`` digit strings in flat-index order."""
     check_dimension(d)
-    if n < 1:
-        raise DomainError(f"digit count must be a positive integer, got {n!r}")
-    return product(range(d), repeat=n)
+    return product(range(d), repeat=check_int(n, "digit count", minimum=1))
 
 
 def basis_state(digits: Sequence[int], d: int) -> Statevector:

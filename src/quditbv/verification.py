@@ -19,8 +19,9 @@ from typing import Sequence
 import numpy as np
 
 from .algorithm import fourier_basis_state, quantum_bv_states
-from .errors import CapacityError, DomainError
+from .errors import CapacityError
 from .gates import (
+    DENSE_DIM_LIMIT,
     FourierDirection,
     GateMatrix,
     apply_local_gate,
@@ -34,6 +35,7 @@ from .state import (
     Statevector,
     all_digit_strings,
     check_dimension,
+    check_int,
     decode_index,
     encode_digits,
     validate_digits,
@@ -44,7 +46,6 @@ TOL_PIPELINE = 1e-10
 TOL_STATE = 1e-9
 
 GRAM_SIZE_LIMIT = 625
-DENSE_SIZE_LIMIT = 256
 
 
 @dataclass(frozen=True)
@@ -66,8 +67,7 @@ def root_of_unity_sum(d: int, k: int) -> complex:
     ``k % d == 0`` and vanishes otherwise.
     """
     check_dimension(d)
-    if not isinstance(k, (int, np.integer)) or isinstance(k, bool) or k < 0:
-        raise DomainError(f"exponent k must be a non-negative integer, got {k!r}")
+    check_int(k, "exponent k", minimum=0)
     total = 0j
     for a in range(d):
         total += complex(np.exp(2j * np.pi * a * k / d))
@@ -94,8 +94,7 @@ def root_of_unity_check(max_d: int = 16) -> CheckResult:
 def gram_check(d: int, n: int) -> CheckResult:
     """Gram matrix of all ``d**n`` labeled Fourier states against the identity."""
     check_dimension(d)
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
-        raise DomainError(f"register size must be a positive integer, got {n!r}")
+    n = check_int(n, "register size", minimum=1)
     count = d**n
     if count > GRAM_SIZE_LIMIT:
         raise CapacityError(
@@ -144,12 +143,8 @@ def _dense_bv_layers(d: int, n: int) -> tuple[GateMatrix, GateMatrix]:
     """Dense Fourier spread and inverse-readout layers for an (n+1)-qudit run."""
     forward = fourier_matrix(d, FourierDirection.FORWARD)
     inverse = fourier_matrix(d, FourierDirection.INVERSE)
-    spread = dense_operator(
-        [(forward, (p,)) for p in range(1, n + 2)], n + 1, max_dim=DENSE_SIZE_LIMIT
-    )
-    readout = dense_operator(
-        [(inverse, (p,)) for p in range(1, n + 1)], n + 1, max_dim=DENSE_SIZE_LIMIT
-    )
+    spread = dense_operator([(forward, (p,)) for p in range(1, n + 2)], n + 1)
+    readout = dense_operator([(inverse, (p,)) for p in range(1, n + 1)], n + 1)
     return spread, readout
 
 
@@ -164,10 +159,10 @@ def dense_reference_bv(secret: Sequence[int], d: int) -> Statevector:
     secret = validate_digits(secret, d)
     n = len(secret)
     size = d ** (n + 1)
-    if size > DENSE_SIZE_LIMIT:
+    if size > DENSE_DIM_LIMIT:
         raise CapacityError(
             f"dense reference on {n + 1} qudits of dimension {d} needs {size} amplitudes, "
-            f"above the limit of {DENSE_SIZE_LIMIT}"
+            f"above the limit of {DENSE_DIM_LIMIT}"
         )
     spread, readout = _dense_bv_layers(d, n)
     oracle_matrix = np.zeros((size, size), dtype=np.complex128)
@@ -216,10 +211,10 @@ def gate_equivalence_check(
     register allows), applies it along both routes, and compares amplitudes.
     """
     d = check_dimension(d)
-    k = int(qudit_count)
+    k = check_int(qudit_count, "qudit_count", minimum=1)
     dim = d**k
-    if dim > DENSE_SIZE_LIMIT:
-        raise CapacityError(f"gate equivalence check needs dim <= {DENSE_SIZE_LIMIT}, got {dim}")
+    if dim > DENSE_DIM_LIMIT:
+        raise CapacityError(f"gate equivalence check needs dim <= {DENSE_DIM_LIMIT}, got {dim}")
     rng = np.random.default_rng(seed)
     adder = sum_matrix(d)
     worst = 0.0
@@ -236,7 +231,7 @@ def gate_equivalence_check(
             control, target = (int(p) for p in rng.permutation(k)[:2] + 1)
             ops.append((adder, (control, target)))
             strided = apply_sum(strided, control, target)
-        dense = dense_operator(ops, k, max_dim=DENSE_SIZE_LIMIT)
+        dense = dense_operator(ops, k)
         expected = dense.entries @ state.amplitudes
         worst = max(worst, float(np.max(np.abs(strided.amplitudes - expected))))
     return CheckResult(
@@ -256,7 +251,7 @@ def run_all_checks() -> list[CheckResult]:
         results.append(kickback_check(d))
     for d in range(2, 17):
         n = 1
-        while d ** (n + 1) <= DENSE_SIZE_LIMIT:
+        while d ** (n + 1) <= DENSE_DIM_LIMIT:
             results.append(pipeline_check(d, n))
             n += 1
     for d in (2, 3, 4):

@@ -30,9 +30,9 @@ from quditbv import (
     run_quantum_bv,
     tensor,
 )
+from quditbv.gates import DENSE_DIM_LIMIT
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-DENSE_SIZE_LIMIT = 256
 
 
 def report(criterion: int, description: str, passed: bool, detail: str = "") -> None:
@@ -168,7 +168,7 @@ def test_criterion_6_post_oracle_factorization():
     cases = 0
     for d in range(2, 17):
         n = 1
-        while d ** (n + 1) <= DENSE_SIZE_LIMIT:
+        while d ** (n + 1) <= DENSE_DIM_LIMIT:
             ancilla = kickback_state(d)
             for secret in all_digit_strings(d, n):
                 trace = quantum_bv_states(LinearOracle(secret, d))
@@ -200,7 +200,7 @@ def test_criterion_7_dual_route_equivalence():
     pairs = 0
     for d in range(2, 17):
         n = 1
-        while d ** (n + 1) <= DENSE_SIZE_LIMIT:
+        while d ** (n + 1) <= DENSE_DIM_LIMIT:
             result = pipeline_check(d, n)
             worst_pipeline = max(worst_pipeline, result.max_abs_error)
             pairs += 1

@@ -75,6 +75,12 @@ class TestFourierBasisState:
             expected = np.exp(2j * np.pi * phase / d) / np.sqrt(d**n)
             assert abs(sv.amplitudes[encode_digits(digits, d)] - expected) <= 1e-12
 
+    @pytest.mark.parametrize("d,n", [(2, 16), (3, 10)])
+    def test_traced_peak_is_at_most_three_outputs(self, d, n, traced_peak):
+        label = random_secret(d, n, np.random.default_rng(d * n))
+        sv, peak = traced_peak(fourier_basis_state, label, d)
+        assert peak <= 3 * sv.amplitudes.nbytes
+
     def test_distinct_labels_are_orthogonal(self):
         a = fourier_basis_state((1, 0), 3)
         b = fourier_basis_state((1, 2), 3)
@@ -252,6 +258,15 @@ class TestMarginalsAndMeasurement:
             marginal_probabilities(state, (0,))
         with pytest.raises(DomainError):
             marginal_probabilities(state, ())
+        with pytest.raises(DomainError):
+            marginal_probabilities(state, [1.9, 2])
+        with pytest.raises(DomainError):
+            marginal_probabilities(state, [True, 2])
+
+    def test_positions_from_an_iterator_are_read_once(self):
+        state = basis_state((0, 1), 2)
+        outcome = measure_register(state, iter([1, 2]), np.random.default_rng(0))
+        assert outcome.digits == (0, 1)
 
     def test_measurement_is_deterministic_given_seed(self):
         raw = np.array([0.5, 0.5, 0.5, 0.5]) * np.exp(1j * np.arange(4))

@@ -1,5 +1,8 @@
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -18,7 +21,7 @@ class TestParseConfig:
         config = parse_config(["run", "--d", "3", "--n", "2", "--secret", "1,2", "--mode", "both"])
         assert config.secret == (1, 2)
         assert (config.d, config.n, config.mode) == (3, 2, "both")
-        assert (config.seed, config.shots, config.output_format) == (0, 1, "json")
+        assert (config.seed, config.output_format) == (0, "json")
 
     def test_secret_generated_from_seed_is_reproducible(self):
         argv = ["run", "--d", "2", "--n", "3", "--seed", "7"]
@@ -71,10 +74,6 @@ class TestExperimentConfig:
         with pytest.raises(DomainError):
             ExperimentConfig(d=3, n=2, secret=(1, 2), mode="both", output_format="xml")
 
-    def test_validates_shots(self):
-        with pytest.raises(DomainError):
-            ExperimentConfig(d=3, n=2, secret=(1, 2), mode="both", shots=0)
-
 
 class TestRunExperiment:
     def test_both_mode_uses_fresh_oracles(self):
@@ -95,12 +94,6 @@ class TestRunExperiment:
         config = parse_config(["run", "--d", "5", "--n", "2", "--mode", "both", "--seed", "11"])
         reports = run_experiment(config)
         assert reports[0].recovered == reports[1].recovered == config.secret
-
-    def test_shots_repeat_runs(self):
-        config = ExperimentConfig(d=2, n=2, secret=(1, 1), mode="both", shots=3)
-        reports = run_experiment(config)
-        assert len(reports) == 6
-        assert [r.mode for r in reports] == ["quantum", "classical"] * 3
 
 
 def make_report(**overrides):
@@ -220,3 +213,16 @@ class TestMainExitCodes:
             assert main(argv) == 0
             outputs.append(capsys.readouterr().out)
         assert len(set(outputs)) == 1
+
+
+def test_package_import_does_not_load_the_cli():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    code = (
+        "import sys, quditbv; "
+        "print(sorted(m for m in ('argparse', 'csv', 'json') if m in sys.modules))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert proc.stdout.strip() == "[]"

@@ -6,10 +6,16 @@ from quditbv import (
     LinearOracle,
     Statevector,
     all_digit_strings,
+    apply_sum,
     basis_state,
     decode_index,
     random_secret,
 )
+
+
+def random_state(d, k, rng):
+    raw = rng.normal(size=d**k) + 1j * rng.normal(size=d**k)
+    return Statevector(raw / np.linalg.norm(raw), d, k)
 
 
 class TestEvalClassical:
@@ -81,6 +87,29 @@ class TestApplyQuantum:
             for _ in range(d):
                 out = oracle.apply_quantum(out)
             assert np.array_equal(out.amplitudes, state.amplitudes)
+
+    def test_equals_chain_of_sum_gates(self):
+        # The paper's circuit: SUM from input qudit i to the target, s_i times.
+        rng = np.random.default_rng(5)
+        for d in range(2, 6):
+            for n in (1, 2, 3):
+                secret = random_secret(d, n, rng)
+                state = random_state(d, n + 1, rng)
+                expected = state
+                for pos, s in enumerate(secret, start=1):
+                    for _ in range(s):
+                        expected = apply_sum(expected, pos, n + 1)
+                out = LinearOracle(secret, d).apply_quantum(state)
+                assert np.array_equal(out.amplitudes, expected.amplitudes), (d, secret)
+
+    @pytest.mark.parametrize("d,n", [(2, 16), (3, 9)])
+    def test_traced_peak_is_at_most_three_states(self, d, n, traced_peak):
+        rng = np.random.default_rng(d + n)
+        secret = tuple(int(v) for v in rng.integers(1, d, size=n))
+        oracle = LinearOracle(secret, d)
+        state = random_state(d, n + 1, rng)
+        _, peak = traced_peak(oracle.apply_quantum, state)
+        assert peak <= 3 * state.amplitudes.nbytes
 
     def test_register_size_mismatch_rejected(self):
         oracle = LinearOracle((1, 2), 3)

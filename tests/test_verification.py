@@ -4,6 +4,7 @@ import pytest
 from quditbv import (
     CapacityError,
     CheckResult,
+    DomainError,
     LinearOracle,
     all_digit_strings,
     dense_reference_bv,
@@ -167,6 +168,11 @@ class TestGateEquivalence:
         a = gate_equivalence_check(3, 2, samples=10, seed=123)
         b = gate_equivalence_check(3, 2, samples=10, seed=123)
         assert a.max_abs_error == b.max_abs_error
+
+    @pytest.mark.parametrize("k", [1.9, True])
+    def test_non_integer_register_size_rejected(self, k):
+        with pytest.raises(DomainError):
+            gate_equivalence_check(2, k, samples=1)
 
 
 class TestRunAllChecks:
