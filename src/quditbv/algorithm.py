@@ -100,17 +100,12 @@ def quantum_bv_states(oracle: LinearOracle) -> QuantumTrace:
     """
     d, n = oracle.d, oracle.n
     check_capacity(d ** (n + 1))
-    state = basis_state((0,) * n + (d - 1,), d)
     forward = fourier_matrix(d, FourierDirection.FORWARD)
-    for pos in range(1, n + 2):
-        state = apply_local_gate(state, forward, pos)
-    post_fourier = state
+    post_fourier = apply_local_gate(basis_state((0,) * n + (d - 1,), d), forward, *range(1, n + 2))
     post_oracle = oracle.apply_quantum(post_fourier)
     inverse = fourier_matrix(d, FourierDirection.INVERSE)
-    state = post_oracle
-    for pos in range(1, n + 1):
-        state = apply_local_gate(state, inverse, pos)
-    return QuantumTrace(post_fourier, post_oracle, state)
+    final = apply_local_gate(post_oracle, inverse, *range(1, n + 1))
+    return QuantumTrace(post_fourier, post_oracle, final)
 
 
 def marginal_probabilities(state: Statevector, qudits: Sequence[int]) -> np.ndarray:

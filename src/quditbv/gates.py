@@ -3,9 +3,10 @@
 Two independent execution routes are provided on purpose:
 
 * :func:`apply_local_gate` and :func:`apply_sum` act on the strided
-  amplitude array without ever forming the full operator.  SUM powers share
-  one modular-add kernel, :func:`_sum_power`, which the oracle also uses to
-  apply its ``SUM**s_i`` gates.
+  amplitude array without ever forming the full operator: a layer of
+  single-qudit gates is batched matrix products through two scratch buffers,
+  and SUM powers share one modular-add kernel, :func:`_sum_power`, which the
+  oracle also uses to apply its ``SUM**s_i`` gates.
 * :func:`dense_operator` builds the full ``d**k x d**k`` matrix for a gate
   sequence, for cross-checking the strided route on small registers.
 """
@@ -118,26 +119,31 @@ def _check_position(pos: int, qudit_count: int, label: str = "position") -> int:
     return pos
 
 
-def apply_local_gate(state: Statevector, gate: GateMatrix, pos: int) -> Statevector:
-    """Apply a single-qudit gate at 1-based position ``pos``.
+def apply_local_gate(state: Statevector, gate: GateMatrix, pos: int, *more: int) -> Statevector:
+    """Apply a single-qudit gate at 1-based position ``pos``, then at each of ``more``.
 
-    The amplitude array is viewed as ``(left, d, right)`` with
-    ``left = d**(pos-1)`` and ``right = d**(k-pos)`` and the gate is
-    contracted over the middle axis; no ``d**k x d**k`` matrix is formed and
-    every output amplitude is written exactly once.
+    Each gate is one batched matrix product over the ``(left, d, right)`` view,
+    with ``left = d**(pos-1)`` and ``right = d**(k-pos)``; no ``d**k x d**k``
+    matrix is formed.  Passes alternate between two scratch buffers, and one
+    :class:`Statevector` is built at the end.
     """
     if gate.d != state.d:
         raise DomainError(f"gate dimension {gate.d} does not match state dimension {state.d}")
     if gate.qudit_span != 1:
         raise DomainError(f"apply_local_gate needs a single-qudit gate, got span {gate.qudit_span}")
-    k = state.qudit_count
-    pos = _check_position(pos, k)
-    d = state.d
-    left = d ** (pos - 1)
-    right = d ** (k - pos)
-    cube = state.amplitudes.reshape(left, d, right)
-    out = np.einsum("sj,ljr->lsr", gate.entries, cube)
-    return Statevector(out.reshape(-1), d, k)
+    d, k = state.d, state.qudit_count
+    positions = [_check_position(p, k) for p in (pos, *more)]
+    amps, spare = state.amplitudes, None
+    for p in positions:
+        out = np.empty_like(amps) if spare is None else spare
+        right = d ** (k - p)
+        if right == 1:  # one large product beats a batch of d x 1 columns
+            np.matmul(amps.reshape(-1, d), gate.entries.T, out=out.reshape(-1, d))
+        else:
+            np.matmul(gate.entries, amps.reshape(-1, d, right), out=out.reshape(-1, d, right))
+        spare, amps = (amps if amps.flags.writeable else None), out  # not the caller's array
+    spare = None  # free it before the Statevector copy
+    return Statevector(amps, d, k)
 
 
 def _sum_power(cube: np.ndarray, out: np.ndarray, control_ax: int, target_ax: int, m: int) -> None:

@@ -36,7 +36,6 @@ from .state import (
     all_digit_strings,
     check_dimension,
     check_int,
-    decode_index,
     encode_digits,
     validate_digits,
 )
@@ -151,10 +150,10 @@ def _dense_bv_layers(d: int, n: int) -> tuple[GateMatrix, GateMatrix]:
 def dense_reference_bv(secret: Sequence[int], d: int) -> Statevector:
     """Final pipeline state computed through full dense matrices only.
 
-    Builds the Fourier spread and readout layers with ``dense_operator``, the
-    oracle as an explicit permutation matrix over all basis states, and
-    multiplies the product into the initial vector.  Shares no code with the
-    strided route and with ``LinearOracle``.
+    Builds the Fourier spread and readout layers with ``dense_operator`` and
+    the oracle as an explicit permutation matrix over all basis states, then
+    applies the three matrices to the initial vector in turn.  Shares no code
+    with the strided route and with ``LinearOracle``.
     """
     secret = validate_digits(secret, d)
     n = len(secret)
@@ -165,16 +164,16 @@ def dense_reference_bv(secret: Sequence[int], d: int) -> Statevector:
             f"above the limit of {DENSE_DIM_LIMIT}"
         )
     spread, readout = _dense_bv_layers(d, n)
+    # Every basis column splits into its input index and target digit; the
+    # input's big-endian digits give f, which moves the target row.
+    inputs, target = np.divmod(np.arange(size), d)
+    digits = inputs[:, None] // d ** np.arange(n - 1, -1, -1) % d
+    rows = inputs * d + (target + digits @ np.array(secret)) % d
     oracle_matrix = np.zeros((size, size), dtype=np.complex128)
-    for col in range(size):
-        digits = decode_index(col, d, n + 1)
-        f_value = sum(s * x for s, x in zip(secret, digits[:n])) % d
-        shifted = digits[:n] + ((digits[n] + f_value) % d,)
-        oracle_matrix[encode_digits(shifted, d), col] = 1.0
-    circuit = readout.entries @ (oracle_matrix @ spread.entries)
+    oracle_matrix[rows, np.arange(size)] = 1.0
     initial = np.zeros(size, dtype=np.complex128)
     initial[encode_digits((0,) * n + (d - 1,), d)] = 1.0
-    return Statevector(circuit @ initial, d, n + 1)
+    return Statevector(readout.entries @ (oracle_matrix @ (spread.entries @ initial)), d, n + 1)
 
 
 def pipeline_check(d: int, n: int) -> CheckResult:

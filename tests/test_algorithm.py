@@ -115,6 +115,13 @@ class TestQuantumTrace:
         expected = tensor(basis_state(secret, d), kickback_state(d))
         assert np.max(np.abs(trace.final.amplitudes - expected.amplitudes)) <= 1e-9
 
+    @pytest.mark.parametrize("d,n", [(2, 16), (3, 9)])
+    def test_traced_peak_is_at_most_four_and_a_half_states(self, d, n, traced_peak):
+        # The inverse layer's two buffers sit beside post_fourier and post_oracle.
+        oracle = LinearOracle(random_secret(d, n, np.random.default_rng(d * n)), d)
+        trace, peak = traced_peak(quantum_bv_states, oracle)
+        assert peak <= 4.5 * trace.final.amplitudes.nbytes
+
 
 class TestForwardKernelVariant:
     @pytest.mark.parametrize("d,n", [(2, 2), (3, 2), (5, 1)])

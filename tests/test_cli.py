@@ -226,3 +226,29 @@ def test_package_import_does_not_load_the_cli():
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
     )
     assert proc.stdout.strip() == "[]"
+
+
+def test_stdout_and_amplitudes_do_not_depend_on_blas_threads():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    code = (
+        "import hashlib\n"
+        "from quditbv import LinearOracle, quantum_bv_states\n"
+        "from quditbv.cli import main\n"
+        "main(['run', '--d', '9', '--n', '4', '--mode', 'both', '--seed', '3'])\n"
+        "main(['selfcheck', '--format', 'csv'])\n"
+        "final = quantum_bv_states(LinearOracle((3, 0, 15, 7), 16)).final\n"
+        "print(hashlib.sha256(final.amplitudes.tobytes()).hexdigest())\n"
+    )
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(
+            os.environ,
+            OPENBLAS_NUM_THREADS=threads,
+            PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""),
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+        )
+        outputs.append(proc.stdout)
+    assert "PASS" in outputs[0]
+    assert outputs[0] == outputs[1]

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quditbv import (
     CapacityError,
@@ -15,11 +17,17 @@ from quditbv import (
     fourier_matrix,
     sum_matrix,
 )
+from quditbv.verification import TOL_ALGEBRA
 
 
 def random_state(d, k, rng):
     raw = rng.normal(size=d**k) + 1j * rng.normal(size=d**k)
     return Statevector(raw / np.linalg.norm(raw), d, k)
+
+
+def random_unitary(d, rng):
+    raw = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    return GateMatrix(np.linalg.qr(raw)[0], d)
 
 
 def kron_lift(matrix, pos, d, k):
@@ -148,6 +156,59 @@ class TestApplyLocalGate:
     def test_dimension_mismatch(self):
         with pytest.raises(DomainError):
             apply_local_gate(basis_state((0, 0), 2), fourier_matrix(3), 1)
+
+    def test_multi_position_call_equals_chain_of_single_calls(self):
+        rng = np.random.default_rng(31)
+        for d, k in [(2, 5), (3, 3), (4, 2), (5, 3)]:
+            state = random_state(d, k, rng)
+            gate = random_unitary(d, rng)
+            positions = [int(p) for p in rng.integers(1, k + 1, size=2 * k)]
+            chained = state
+            for pos in positions:
+                chained = apply_local_gate(chained, gate, pos)
+            layered = apply_local_gate(state, gate, *positions)
+            assert np.array_equal(layered.amplitudes, chained.amplitudes)
+
+    @pytest.mark.parametrize("d,k", [(d, k) for d in range(2, 6) for k in range(1, 5) if d**k <= 256])
+    def test_layer_matches_dense_operator(self, d, k):
+        # Positions 1 and k take the left == 1 and right == 1 branches.
+        rng = np.random.default_rng(10 * d + k)
+        gate = random_unitary(d, rng)
+        positions = [1, k, *(int(p) for p in rng.integers(1, k + 1, size=k))]
+        state = random_state(d, k, rng)
+        out = apply_local_gate(state, gate, *positions)
+        dense = dense_operator([(gate, (p,)) for p in positions], k)
+        expected = dense.entries @ state.amplitudes
+        assert np.max(np.abs(out.amplitudes - expected)) <= TOL_ALGEBRA
+
+    def test_input_amplitudes_unchanged(self):
+        state = random_state(3, 3, np.random.default_rng(5))
+        before = state.amplitudes.copy()
+        apply_local_gate(state, fourier_matrix(3), 1, 2, 3, 2)
+        assert np.array_equal(state.amplitudes, before)
+
+    @pytest.mark.parametrize("bad", [0, 3, 1.9, True])
+    def test_bad_position_in_more_rejected(self, bad):
+        state = basis_state((0, 0), 2)
+        with pytest.raises(DomainError):
+            apply_local_gate(state, fourier_matrix(2), 1, bad)
+        with pytest.raises(DomainError):
+            apply_local_gate(state, fourier_matrix(2), 1, 2, bad, 1)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_property_matches_dense_operator(self, data):
+        d = data.draw(st.integers(2, 16), label="d")
+        max_k = max(k for k in range(1, 9) if d**k <= 256)
+        k = data.draw(st.integers(1, max_k), label="k")
+        positions = data.draw(st.lists(st.integers(1, k), min_size=1, max_size=6), label="positions")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        gate = random_unitary(d, rng)
+        state = random_state(d, k, rng)
+        out = apply_local_gate(state, gate, *positions)
+        dense = dense_operator([(gate, (p,)) for p in positions], k)
+        expected = dense.entries @ state.amplitudes
+        assert np.max(np.abs(out.amplitudes - expected)) <= TOL_ALGEBRA
 
 
 class TestApplySum:

@@ -5,10 +5,14 @@ from quditbv import (
     CapacityError,
     CheckResult,
     DomainError,
+    FourierDirection,
     LinearOracle,
     all_digit_strings,
+    decode_index,
+    dense_operator,
     dense_reference_bv,
     encode_digits,
+    fourier_matrix,
     gate_equivalence_check,
     gram_check,
     kickback_check,
@@ -19,6 +23,7 @@ from quditbv import (
     root_of_unity_sum,
     run_all_checks,
 )
+from quditbv.verification import TOL_ALGEBRA
 
 
 class TestRootOfUnitySum:
@@ -140,6 +145,25 @@ class TestDenseReference:
         a = dense_reference_bv((1, 2), 3).amplitudes
         b = dense_reference_bv((1, 2), 3).amplitudes
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("d,n", [(2, 3), (3, 2), (5, 2), (16, 1)])
+    def test_matches_oracle_built_column_by_column(self, d, n):
+        forward, inverse = fourier_matrix(d), fourier_matrix(d, FourierDirection.INVERSE)
+        spread = dense_operator([(forward, (p,)) for p in range(1, n + 2)], n + 1).entries
+        readout = dense_operator([(inverse, (p,)) for p in range(1, n + 1)], n + 1).entries
+        size = d ** (n + 1)
+        for secret in [(0,) * n, (d - 1,) * n, tuple(range(1, n + 1))]:
+            secret = tuple(s % d for s in secret)
+            oracle = np.zeros((size, size))
+            for col in range(size):
+                digits = decode_index(col, d, n + 1)
+                f = sum(s * x for s, x in zip(secret, digits[:n])) % d
+                oracle[encode_digits(digits[:n] + ((digits[n] + f) % d,), d), col] = 1.0
+            initial = np.zeros(size)
+            initial[d - 1] = 1.0
+            expected = readout @ oracle @ spread @ initial
+            got = dense_reference_bv(secret, d).amplitudes
+            assert np.max(np.abs(got - expected)) <= TOL_ALGEBRA
 
 
 class TestPipelineAgreement:
