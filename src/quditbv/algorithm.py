@@ -51,7 +51,6 @@ class RunReport:
     recovered: tuple[int, ...]
     oracle_queries: int
     peak_probability: float
-    seed: int
     elapsed: float
 
 
@@ -83,7 +82,7 @@ def fourier_basis_state(s: Sequence[int], d: int) -> Statevector:
     s = validate_digits(s, d)
     n = len(s)
     size = d**n
-    check_capacity(size)
+    check_capacity(size, "Fourier basis state")
     # (s . x) mod d over the big-endian index, one appended digit at a time.
     phases = np.zeros(1, dtype=np.int64)
     for s_i in s:
@@ -99,7 +98,7 @@ def quantum_bv_states(oracle: LinearOracle) -> QuantumTrace:
     allocating if ``d**(n+1)`` exceeds the amplitude budget.
     """
     d, n = oracle.d, oracle.n
-    check_capacity(d ** (n + 1))
+    check_capacity(d ** (n + 1), "pipeline register")
     forward = fourier_matrix(d, FourierDirection.FORWARD)
     post_fourier = apply_local_gate(basis_state((0,) * n + (d - 1,), d), forward, *range(1, n + 2))
     post_oracle = oracle.apply_quantum(post_fourier)
@@ -159,7 +158,9 @@ def run_quantum_bv(oracle: LinearOracle, seed: int = 0) -> RunReport:
     The readout takes the argmax of the input-register probabilities and
     fails loudly if that peak does not carry essentially all of the weight,
     so a wrong-but-confident answer cannot slip through.  The oracle's
-    counter, not an assumption, supplies the reported query count.
+    counter, not an assumption, supplies the reported query count.  The
+    pipeline draws nothing at random: ``seed`` is ignored and accepted only
+    so that callers passing it positionally keep working.
     """
     start = time.perf_counter()
     queries_before = oracle.query_count
@@ -180,12 +181,11 @@ def run_quantum_bv(oracle: LinearOracle, seed: int = 0) -> RunReport:
         recovered=recovered,
         oracle_queries=oracle.query_count - queries_before,
         peak_probability=peak,
-        seed=int(seed),
         elapsed=time.perf_counter() - start,
     )
 
 
-def run_classical_bv(oracle: LinearOracle, seed: int = 0) -> RunReport:
+def run_classical_bv(oracle: LinearOracle) -> RunReport:
     """Recover the hidden string with ``n`` classical unit-string queries.
 
     Querying the i-th unit string returns ``(s . e_i) mod d = s_i`` directly,
@@ -205,6 +205,5 @@ def run_classical_bv(oracle: LinearOracle, seed: int = 0) -> RunReport:
         recovered=tuple(recovered),
         oracle_queries=oracle.query_count - queries_before,
         peak_probability=1.0,
-        seed=int(seed),
         elapsed=time.perf_counter() - start,
     )

@@ -1,7 +1,7 @@
 """Amplitude budget guarding against accidentally huge dense registers.
 
 The budget is the maximum number of complex amplitudes a single register or
-operator column may hold.  It defaults to 2**24 and can be overridden either
+gate matrix may hold.  It defaults to 2**24 and can be overridden either
 through the ``QUDITBV_AMPLITUDE_BUDGET`` environment variable or
 programmatically with :func:`set_amplitude_budget`.
 """
@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import os
 
-from .errors import CapacityError
+from .errors import CapacityError, DomainError, check_int
 
 DEFAULT_AMPLITUDE_BUDGET = 1 << 24
 BUDGET_ENV_VAR = "QUDITBV_AMPLITUDE_BUDGET"
@@ -23,31 +23,26 @@ def amplitude_budget() -> int:
     if _override is not None:
         return _override
     raw = os.environ.get(BUDGET_ENV_VAR)
-    if raw is not None and raw.strip():
-        try:
-            value = int(raw)
-        except ValueError as exc:
-            raise ValueError(
-                f"{BUDGET_ENV_VAR} must be an integer, got {raw!r}"
-            ) from exc
-        if value < 2:
-            raise ValueError(f"{BUDGET_ENV_VAR} must be at least 2, got {value}")
-        return value
-    return DEFAULT_AMPLITUDE_BUDGET
+    if raw is None or not raw.strip():
+        return DEFAULT_AMPLITUDE_BUDGET
+    try:
+        value = int(raw)
+    except ValueError:
+        raise DomainError(f"{BUDGET_ENV_VAR} must be an integer, got {raw!r}") from None
+    return check_int(value, BUDGET_ENV_VAR, minimum=2)
 
 
 def set_amplitude_budget(value: int | None) -> None:
     """Override the budget for this process; ``None`` restores the default."""
     global _override
-    if value is not None:
-        value = int(value)
-        if value < 2:
-            raise ValueError(f"amplitude budget must be at least 2, got {value}")
-    _override = value
+    _override = None if value is None else check_int(value, "amplitude budget", minimum=2)
 
 
 def check_capacity(entries: int, what: str = "register") -> None:
-    """Raise :class:`CapacityError` if ``entries`` amplitudes exceed the budget."""
+    """Raise :class:`CapacityError` if ``entries`` amplitudes exceed the budget.
+
+    ``what`` names the allocation in the message.
+    """
     budget = amplitude_budget()
     if entries > budget:
         raise CapacityError(

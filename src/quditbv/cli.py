@@ -1,8 +1,9 @@
 """Command-line harness: run experiments, sweep sizes, and self-check.
 
 Output is deterministic: the same argv always produces byte-identical
-stdout.  Exit codes: 0 success, 2 usage error, 3 capacity exceeded,
-4 internal consistency failure (selfcheck returns 1 when any check fails).
+stdout.  Exit codes: 0 success, 2 usage error (including a malformed amplitude
+budget), 3 capacity exceeded, 4 internal consistency failure (selfcheck
+returns 1 when any check fails).
 """
 
 from __future__ import annotations
@@ -18,9 +19,9 @@ from typing import Sequence, TextIO
 import numpy as np
 
 from .algorithm import RunReport, run_classical_bv, run_quantum_bv
-from .errors import CapacityError, ConsistencyError, DomainError
+from .errors import CapacityError, ConsistencyError, DomainError, check_int
 from .oracle import LinearOracle, random_secret
-from .state import check_int, validate_digits
+from .state import validate_digits
 from .verification import run_all_checks
 
 MODES = ("quantum", "classical", "both")
@@ -154,7 +155,7 @@ def run_experiment(config: ExperimentConfig) -> list[RunReport]:
     for mode in modes:
         oracle = LinearOracle(config.secret, config.d)
         solver = run_quantum_bv if mode == "quantum" else run_classical_bv
-        reports.append(solver(oracle, seed=config.seed))
+        reports.append(solver(oracle))
     return reports
 
 
@@ -197,17 +198,19 @@ def emit_report(
     reports: Sequence[RunReport],
     output_format: str,
     secret: Sequence[int],
+    seed: int,
     stream: TextIO | None = None,
 ) -> str:
     """Serialize run reports with a fixed field order, write, and return.
 
     JSON renders digit strings as integer arrays; csv and text join digits
-    with ``-``.  ``secret`` is supplied by the caller because solvers never
-    see it and their reports cannot carry it.
+    with ``-``.  ``secret`` and ``seed`` are supplied by the caller: solvers
+    never see the secret, and the seed only drew it.
     """
     if output_format not in FORMATS:
         raise DomainError(f"output format must be one of {FORMATS}, got {output_format!r}")
     secret = tuple(int(v) for v in secret)
+    seed = check_int(seed, "seed")
     rows = []
     for report in reports:
         rows.append(
@@ -219,7 +222,7 @@ def emit_report(
                 "recovered": list(report.recovered),
                 "oracle_queries": report.oracle_queries,
                 "peak_probability": report.peak_probability,
-                "seed": report.seed,
+                "seed": seed,
             }
         )
     rendered = _render_rows(rows, output_format, fields=REPORT_FIELDS)
@@ -249,8 +252,8 @@ def _sweep_rows(d_values: Sequence[int], n_values: Sequence[int], seed: int) -> 
     for d in d_values:
         for n in n_values:
             secret = random_secret(d, n, rng)
-            quantum = run_quantum_bv(LinearOracle(secret, d), seed=seed)
-            classical = run_classical_bv(LinearOracle(secret, d), seed=seed)
+            quantum = run_quantum_bv(LinearOracle(secret, d))
+            classical = run_classical_bv(LinearOracle(secret, d))
             rows.append(
                 {
                     "d": d,
@@ -272,7 +275,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.command == "run":
             config = _config_from_args(args, parser)
             reports = run_experiment(config)
-            emit_report(reports, config.output_format, config.secret, stream=sys.stdout)
+            emit_report(reports, config.output_format, config.secret, config.seed, stream=sys.stdout)
             return 0
         if args.command == "sweep":
             d_values = _parse_range(args.d, "d", parser)
@@ -296,6 +299,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         ]
         sys.stdout.write(_render_rows(rows, args.output_format))
         return 0 if all(result.passed for result in results) else 1
+    except DomainError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return 2
     except CapacityError as exc:
         print(f"capacity error: {exc}", file=sys.stderr)
         return 3

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer validator that raises them."""
+
+import numpy as np
 
 
 class QuditError(Exception):
@@ -15,3 +17,18 @@ class CapacityError(QuditError):
 
 class ConsistencyError(QuditError):
     """An internal numerical guarantee failed; this signals a bug, not bad input."""
+
+
+def check_int(value: int, label: str, minimum: int | None = None) -> int:
+    """Validate an integer argument and return it as ``int``.
+
+    Bools and non-integers are rejected, and so are values below ``minimum``
+    when that is given.
+    """
+    if type(value) is not int:  # plain ints skip the slower checks below
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise DomainError(f"{label} must be an integer, got {value!r}")
+        value = int(value)
+    if minimum is not None and value < minimum:
+        raise DomainError(f"{label} must be at least {minimum}, got {value!r}")
+    return value

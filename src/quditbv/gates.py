@@ -8,7 +8,10 @@ Two independent execution routes are provided on purpose:
   and SUM powers share one modular-add kernel, :func:`_sum_power`, which the
   oracle also uses to apply its ``SUM**s_i`` gates.
 * :func:`dense_operator` builds the full ``d**k x d**k`` matrix for a gate
-  sequence, for cross-checking the strided route on small registers.
+  sequence, for cross-checking the strided route on small registers.  Every
+  gate, whatever its span, is lifted the same way: a Kronecker product with
+  the identity, then a relabeling of the qudit axes.  It shares no code with
+  the strided kernels.
 """
 
 from __future__ import annotations
@@ -20,8 +23,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import CapacityError, DomainError
-from .state import Statevector, check_dimension, check_int, decode_index, encode_digits
+from .budget import check_capacity
+from .errors import CapacityError, DomainError, check_int
+from .state import Statevector, check_dimension
 
 UNITARITY_TOL = 1e-12
 DENSE_DIM_LIMIT = 256
@@ -57,6 +61,7 @@ class GateMatrix:
             )
         if not np.all(np.isfinite(entries)):
             raise DomainError("gate entries must be finite")
+        check_capacity(side * side, f"gate matrix of side {side}")
         defect = entries @ entries.conj().T - np.eye(side)
         worst = float(np.max(np.abs(defect)))
         if worst > UNITARITY_TOL:
@@ -90,6 +95,7 @@ def fourier_matrix(d: int, direction: FourierDirection = FourierDirection.FORWAR
     d = check_dimension(d)
     if not isinstance(direction, FourierDirection):
         raise DomainError(f"direction must be a FourierDirection, got {direction!r}")
+    check_capacity(d * d, f"Fourier gate of dimension {d}")
     grid = np.arange(d)
     exponents = np.outer(grid, grid) % d
     entries = omega_powers(d)[exponents] / math.sqrt(d)
@@ -105,6 +111,7 @@ def sum_matrix(d: int) -> GateMatrix:
     target digit, matching the register's big-endian convention.
     """
     d = check_dimension(d)
+    check_capacity(d**4, f"SUM gate of dimension {d}")
     entries = np.zeros((d * d, d * d), dtype=np.complex128)
     for i in range(d):
         for j in range(d):
@@ -185,37 +192,24 @@ def apply_sum(state: Statevector, control: int, target: int) -> Statevector:
     return Statevector(out.reshape(-1), d, k)
 
 
-def _lift_single(entries: np.ndarray, pos: int, d: int, k: int) -> np.ndarray:
-    left = np.eye(d ** (pos - 1))
-    right = np.eye(d ** (k - pos))
-    return np.kron(np.kron(left, entries), right)
-
-
-def _lift_pair(entries: np.ndarray, first: int, second: int, d: int, k: int) -> np.ndarray:
-    dim = d**k
-    lifted = np.zeros((dim, dim), dtype=np.complex128)
-    for col in range(dim):
-        digits = decode_index(col, d, k)
-        pair_col = digits[first - 1] * d + digits[second - 1]
-        for a in range(d):
-            for b in range(d):
-                value = entries[a * d + b, pair_col]
-                if value == 0:
-                    continue
-                out_digits = list(digits)
-                out_digits[first - 1] = a
-                out_digits[second - 1] = b
-                lifted[encode_digits(out_digits, d), col] += value
-    return lifted
+def _lift(entries: np.ndarray, positions: Sequence[int], d: int, k: int) -> np.ndarray:
+    """Lift a gate on the listed 1-based ``positions`` to the whole register."""
+    # Kronecker order: the listed qudits first, the others after them.
+    order = [p - 1 for p in positions] + [q for q in range(k) if q + 1 not in positions]
+    back = [order.index(q) for q in range(k)]  # where register qudit q sits
+    lifted = np.kron(entries, np.eye(d ** (k - len(positions)))).reshape((d,) * (2 * k))
+    return lifted.transpose(back + [k + a for a in back]).reshape(d**k, d**k)
 
 
 def dense_operator(ops: Sequence[tuple[GateMatrix, Sequence[int]]], qudit_count: int) -> GateMatrix:
     """Full-register matrix for a gate sequence, for cross-checking only.
 
     ``ops`` lists ``(gate, positions)`` pairs applied left to right (the first
-    listed gate acts on the state first).  Single-qudit gates are lifted with
-    identity Kronecker factors; two-qudit gates by explicit basis enumeration.
-    Refuses registers with more than ``DENSE_DIM_LIMIT`` amplitudes.
+    listed gate acts on the state first).  A gate of any span is lifted as
+    ``gate (x) identity``, which acts on its listed qudits first and on the
+    others after them, followed by one relabeling of the qudit axes back into
+    register order.  Refuses registers with more than ``DENSE_DIM_LIMIT``
+    amplitudes.
     """
     if not ops:
         raise DomainError("dense_operator needs at least one gate")
@@ -236,13 +230,7 @@ def dense_operator(ops: Sequence[tuple[GateMatrix, Sequence[int]]], qudit_count:
             raise DomainError(
                 f"gate spans {gate.qudit_span} qudits but got {len(positions)} positions"
             )
-        if gate.qudit_span == 1:
-            lifted = _lift_single(gate.entries, positions[0], d, k)
-        elif gate.qudit_span == 2:
-            if positions[0] == positions[1]:
-                raise DomainError("two-qudit gate positions must be distinct")
-            lifted = _lift_pair(gate.entries, positions[0], positions[1], d, k)
-        else:
-            raise DomainError("dense_operator lifts only one- and two-qudit gates")
-        total = lifted @ total
+        if len(set(positions)) != len(positions):
+            raise DomainError(f"gate positions must be distinct, got {positions}")
+        total = _lift(gate.entries, positions, d, k) @ total
     return GateMatrix(total, d)

@@ -23,9 +23,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, check_int
 from .gates import _sum_power
-from .state import Statevector, check_dimension, check_int, validate_digits
+from .state import Statevector, check_dimension, validate_digits
 
 
 class LinearOracle:

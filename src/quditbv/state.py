@@ -18,22 +18,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .budget import check_capacity
-from .errors import DomainError
-
-
-def check_int(value: int, label: str, minimum: int | None = None) -> int:
-    """Validate an integer argument and return it as ``int``.
-
-    Bools and non-integers are rejected, and so are values below ``minimum``
-    when that is given.
-    """
-    if type(value) is not int:  # plain ints skip the slower checks below
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-            raise DomainError(f"{label} must be an integer, got {value!r}")
-        value = int(value)
-    if minimum is not None and value < minimum:
-        raise DomainError(f"{label} must be at least {minimum}, got {value!r}")
-    return value
+from .errors import DomainError, check_int
 
 
 def check_dimension(d: int) -> int:
@@ -137,7 +122,7 @@ def basis_state(digits: Sequence[int], d: int) -> Statevector:
     """Computational basis state |digits> as a dense statevector."""
     digits = validate_digits(digits, d)
     size = d ** len(digits)
-    check_capacity(size)
+    check_capacity(size, "basis state")
     amps = np.zeros(size, dtype=np.complex128)
     amps[encode_digits(digits, d)] = 1.0
     return Statevector(amps, d, len(digits))
@@ -147,7 +132,7 @@ def tensor(a: Statevector, b: Statevector) -> Statevector:
     """Tensor product: ``a``'s qudits become positions 1..k_a, ``b``'s follow."""
     if a.d != b.d:
         raise DomainError(f"cannot tensor states of dimension {a.d} and {b.d}")
-    check_capacity(a.size * b.size)
+    check_capacity(a.size * b.size, "tensor product")
     # np.kron realizes exactly the big-endian composite index i_a * size_b + i_b.
     return Statevector(np.kron(a.amplitudes, b.amplitudes), a.d, a.qudit_count + b.qudit_count)
 

@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .algorithm import fourier_basis_state, quantum_bv_states
-from .errors import CapacityError
+from .errors import CapacityError, check_int
 from .gates import (
     DENSE_DIM_LIMIT,
     FourierDirection,
@@ -35,7 +35,6 @@ from .state import (
     Statevector,
     all_digit_strings,
     check_dimension,
-    check_int,
     encode_digits,
     validate_digits,
 )

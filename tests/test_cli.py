@@ -104,7 +104,6 @@ def make_report(**overrides):
         recovered=(1, 2),
         oracle_queries=1,
         peak_probability=1.0,
-        seed=0,
         elapsed=0.001,
     )
     base.update(overrides)
@@ -113,13 +112,14 @@ def make_report(**overrides):
 
 class TestEmitReport:
     def test_single_quantum_report_json(self):
-        text = emit_report([make_report()], "json", secret=(1, 2))
+        text = emit_report([make_report()], "json", secret=(1, 2), seed=5)
         assert text.endswith("\n")
         parsed = json.loads(text)
         assert isinstance(parsed, list) and len(parsed) == 1
         assert parsed[0]["oracle_queries"] == 1
         assert parsed[0]["secret"] == [1, 2]
         assert parsed[0]["recovered"] == [1, 2]
+        assert parsed[0]["seed"] == 5
         assert list(parsed[0].keys()) == [
             "mode",
             "d",
@@ -132,27 +132,27 @@ class TestEmitReport:
         ]
 
     def test_empty_report_list(self):
-        assert json.loads(emit_report([], "json", secret=(1,))) == []
-        csv_text = emit_report([], "csv", secret=(1,))
+        assert json.loads(emit_report([], "json", secret=(1,), seed=0)) == []
+        csv_text = emit_report([], "csv", secret=(1,), seed=0)
         assert csv_text == "mode,d,n,secret,recovered,oracle_queries,peak_probability,seed\n"
 
     def test_both_mode_rows(self):
         config = ExperimentConfig(d=3, n=2, secret=(1, 2), mode="both")
         reports = run_experiment(config)
-        lines = emit_report(reports, "csv", secret=config.secret).splitlines()
+        lines = emit_report(reports, "csv", secret=config.secret, seed=config.seed).splitlines()
         assert len(lines) == 3
         assert lines[1].startswith("quantum,3,2,1-2,1-2,1,")
         assert lines[2].startswith("classical,3,2,1-2,1-2,2,")
 
     def test_stream_write_matches_return(self):
         stream = io.StringIO()
-        text = emit_report([make_report()], "text", secret=(1, 2), stream=stream)
+        text = emit_report([make_report()], "text", secret=(1, 2), seed=0, stream=stream)
         assert stream.getvalue() == text
         assert "recovered=1-2" in text
 
     def test_unknown_format_rejected(self):
         with pytest.raises(DomainError):
-            emit_report([make_report()], "yaml", secret=(1, 2))
+            emit_report([make_report()], "yaml", secret=(1, 2), seed=0)
 
 
 class TestMainExitCodes:
@@ -180,7 +180,7 @@ class TestMainExitCodes:
         from quditbv import ConsistencyError
         from quditbv import cli as cli_module
 
-        def broken_solver(oracle, seed=0):
+        def broken_solver(oracle):
             raise ConsistencyError("injected failure")
 
         monkeypatch.setattr(cli_module, "run_quantum_bv", broken_solver)
@@ -188,6 +188,19 @@ class TestMainExitCodes:
         captured = capsys.readouterr()
         assert code == 4
         assert "injected failure" in captured.err
+
+    def test_capacity_error_names_the_allocation(self, capsys):
+        assert main(["run", "--d", "2", "--n", "40"]) == 3
+        assert "pipeline register" in capsys.readouterr().err
+
+    def test_malformed_budget_is_2(self, capsys, monkeypatch):
+        monkeypatch.setenv("QUDITBV_AMPLITUDE_BUDGET", "abc")
+        code = main(["run", "--d", "2", "--n", "1"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert "QUDITBV_AMPLITUDE_BUDGET" in captured.err
 
     def test_sweep_table(self, capsys):
         code = main(["sweep", "--d", "3", "--n", "1..4", "--format", "json"])

@@ -12,9 +12,12 @@ from quditbv import (
     apply_local_gate,
     apply_sum,
     basis_state,
+    decode_index,
     dense_operator,
     encode_digits,
     fourier_matrix,
+    kickback_state,
+    set_amplitude_budget,
     sum_matrix,
 )
 from quditbv.verification import TOL_ALGEBRA
@@ -25,8 +28,9 @@ def random_state(d, k, rng):
     return Statevector(raw / np.linalg.norm(raw), d, k)
 
 
-def random_unitary(d, rng):
-    raw = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+def random_unitary(d, rng, span=1):
+    side = d**span
+    raw = rng.normal(size=(side, side)) + 1j * rng.normal(size=(side, side))
     return GateMatrix(np.linalg.qr(raw)[0], d)
 
 
@@ -35,6 +39,21 @@ def kron_lift(matrix, pos, d, k):
     out = np.eye(1)
     for q in range(1, k + 1):
         out = np.kron(out, matrix if q == pos else np.eye(d))
+    return out
+
+
+def enumerated_lift(matrix, positions, d, k):
+    """Independent dense lift of a gate of any span, one basis column at a time."""
+    m = len(positions)
+    out = np.zeros((d**k, d**k), dtype=complex)
+    for col in range(d**k):
+        digits = decode_index(col, d, k)
+        gate_col = encode_digits([digits[p - 1] for p in positions], d)
+        for gate_row in range(d**m):
+            row_digits = list(digits)
+            for p, v in zip(positions, decode_index(gate_row, d, m)):
+                row_digits[p - 1] = v
+            out[encode_digits(row_digits, d), col] = matrix[gate_row, gate_col]
     return out
 
 
@@ -316,7 +335,82 @@ class TestDenseOperator:
         with pytest.raises(CapacityError):
             dense_operator([(gate, (1,))], 9)  # 512 > 256
 
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_two_qudit_unitary_at_every_ordered_pair(self, d):
+        # A random two-qudit unitary is not a product and not a permutation,
+        # so every entry of the lift is tested, not just where SUM has ones.
+        rng = np.random.default_rng(d)
+        gate = random_unitary(d, rng, span=2)
+        for first in range(1, 4):
+            for second in range(1, 4):
+                if first == second:
+                    continue
+                dense = dense_operator([(gate, (first, second))], 3).entries
+                expected = enumerated_lift(gate.entries, (first, second), d, 3)
+                assert np.max(np.abs(dense - expected)) <= TOL_ALGEBRA
+
+    def test_three_qudit_gate_out_of_order(self):
+        gate = random_unitary(2, np.random.default_rng(7), span=3)
+        dense = dense_operator([(gate, (3, 1, 2))], 4).entries
+        expected = enumerated_lift(gate.entries, (3, 1, 2), 2, 4)
+        assert np.max(np.abs(dense - expected)) <= TOL_ALGEBRA
+
+    @pytest.mark.parametrize("span,positions", [(2, (2, 2)), (3, (1, 3, 1))])
+    def test_duplicate_positions_rejected(self, span, positions):
+        gate = random_unitary(2, np.random.default_rng(span), span=span)
+        with pytest.raises(DomainError, match="distinct"):
+            dense_operator([(gate, positions)], 3)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_property_sequences_with_sum_match_strided_route(self, data):
+        d = data.draw(st.integers(2, 16), label="d")
+        max_k = max(k for k in range(2, 9) if d**k <= 256)
+        k = data.draw(st.integers(2, max_k), label="k")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        state = random_state(d, k, rng)
+        strided, ops = state, []
+        for _ in range(data.draw(st.integers(1, 6), label="op count")):
+            if data.draw(st.booleans(), label="sum"):
+                pair = st.lists(st.integers(1, k), min_size=2, max_size=2, unique=True)
+                control, target = data.draw(pair, label="control, target")
+                ops.append((sum_matrix(d), (control, target)))
+                strided = apply_sum(strided, control, target)
+            else:
+                pos = data.draw(st.integers(1, k), label="position")
+                gate = random_unitary(d, rng)
+                ops.append((gate, (pos,)))
+                strided = apply_local_gate(strided, gate, pos)
+        expected = dense_operator(ops, k).entries @ state.amplitudes
+        assert np.max(np.abs(strided.amplitudes - expected)) <= TOL_ALGEBRA
+
     def test_result_is_validated_unitary(self):
         dense = dense_operator([(fourier_matrix(3), (2,)), (sum_matrix(3), (1, 2))], 2)
         defect = dense.entries @ dense.entries.conj().T - np.eye(9)
         assert np.max(np.abs(defect)) <= 1e-12
+
+
+class TestGateBudget:
+    @pytest.fixture(autouse=True)
+    def budget_of_16(self):
+        set_amplitude_budget(16)
+        yield
+        set_amplitude_budget(None)
+
+    @pytest.mark.parametrize(
+        "build,what",
+        [
+            (lambda: fourier_matrix(5), "Fourier gate"),
+            (lambda: sum_matrix(3), "SUM gate"),
+            (lambda: GateMatrix(np.eye(5), 5), "gate matrix"),
+            (lambda: kickback_state(5), "Fourier gate"),
+        ],
+        ids=["fourier_matrix", "sum_matrix", "GateMatrix", "kickback_state"],
+    )
+    def test_gate_matrix_over_budget_rejected(self, build, what):
+        with pytest.raises(CapacityError, match=f"{what}.*amplitudes"):
+            build()
+
+    def test_gates_within_budget_build(self):
+        assert fourier_matrix(4).qudit_span == 1
+        assert sum_matrix(2).qudit_span == 2

@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 from quditbv import (
+    DEFAULT_AMPLITUDE_BUDGET,
     CapacityError,
     DomainError,
     Statevector,
     all_digit_strings,
+    amplitude_budget,
     basis_state,
     decode_index,
     encode_digits,
@@ -114,6 +116,30 @@ class TestBasisState:
                 basis_state((0,) * 5, 2)
         finally:
             set_amplitude_budget(None)
+
+
+class TestBudgetInput:
+    @pytest.fixture(autouse=True)
+    def restore_default(self):
+        yield
+        set_amplitude_budget(None)
+
+    @pytest.mark.parametrize("bad", [2.7, True, "16", 1])
+    def test_malformed_override_rejected(self, monkeypatch, bad):
+        monkeypatch.delenv("QUDITBV_AMPLITUDE_BUDGET", raising=False)
+        with pytest.raises(DomainError):
+            set_amplitude_budget(bad)
+        assert amplitude_budget() == DEFAULT_AMPLITUDE_BUDGET
+
+    @pytest.mark.parametrize("raw", ["abc", "2.7", "1"])
+    def test_malformed_environment_rejected(self, monkeypatch, raw):
+        monkeypatch.setenv("QUDITBV_AMPLITUDE_BUDGET", raw)
+        with pytest.raises(DomainError, match="QUDITBV_AMPLITUDE_BUDGET"):
+            amplitude_budget()
+
+    def test_environment_value_used(self, monkeypatch):
+        monkeypatch.setenv("QUDITBV_AMPLITUDE_BUDGET", " 64 ")
+        assert amplitude_budget() == 64
 
 
 class TestTensor:
