@@ -248,9 +248,11 @@ def test_stdout_and_amplitudes_do_not_depend_on_blas_threads():
         "from quditbv import LinearOracle, quantum_bv_states\n"
         "from quditbv.cli import main\n"
         "main(['run', '--d', '9', '--n', '4', '--mode', 'both', '--seed', '3'])\n"
+        "main(['run', '--d', '2', '--n', '12', '--mode', 'both', '--seed', '3'])\n"
         "main(['selfcheck', '--format', 'csv'])\n"
-        "final = quantum_bv_states(LinearOracle((3, 0, 15, 7), 16)).final\n"
-        "print(hashlib.sha256(final.amplitudes.tobytes()).hexdigest())\n"
+        "for s, d in [((3, 0, 15, 7), 16), ((1, 0, 1, 1, 0, 1, 1, 0, 1, 1, 1, 0), 2)]:\n"
+        "    final = quantum_bv_states(LinearOracle(s, d)).final\n"
+        "    print(hashlib.sha256(final.amplitudes.tobytes()).hexdigest())\n"
     )
     outputs = []
     for threads in ("1", "2"):

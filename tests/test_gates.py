@@ -8,6 +8,7 @@ from quditbv import (
     DomainError,
     FourierDirection,
     GateMatrix,
+    LinearOracle,
     Statevector,
     apply_local_gate,
     apply_sum,
@@ -17,9 +18,11 @@ from quditbv import (
     encode_digits,
     fourier_matrix,
     kickback_state,
+    run_quantum_bv,
     set_amplitude_budget,
     sum_matrix,
 )
+from quditbv.gates import FUSED_SIDE_LIMIT, _layer_passes
 from quditbv.verification import TOL_ALGEBRA
 
 
@@ -213,6 +216,59 @@ class TestApplyLocalGate:
             apply_local_gate(state, fourier_matrix(2), 1, bad)
         with pytest.raises(DomainError):
             apply_local_gate(state, fourier_matrix(2), 1, 2, bad, 1)
+
+    @pytest.mark.parametrize("d,k", [(2, 7), (3, 5), (4, 4), (5, 4)])
+    def test_fused_layer_equals_chain_of_single_calls(self, d, k):
+        # Blocks of adjacent qudits form at these shapes, and a fused block
+        # rounds differently from the chain.
+        rng = np.random.default_rng(10 * d + k)
+        gate = random_unitary(d, rng)
+        state = random_state(d, k, rng)
+        everything = list(range(1, k + 1))
+        layers = [
+            everything,
+            [int(p) for p in rng.permutation(everything)],
+            everything[:-1],  # the last qudit joins the last block as identity
+            [p for p in everything if p != k // 2 + 1],  # two runs
+        ]
+        for positions in layers:
+            chained = state
+            for pos in positions:
+                chained = apply_local_gate(chained, gate, pos)
+            layered = apply_local_gate(state, gate, *positions)
+            assert np.max(np.abs(layered.amplitudes - chained.amplitudes)) <= TOL_ALGEBRA
+
+    @pytest.mark.parametrize("d,k", [(2, 23), (3, 14), (4, 11), (5, 10)])
+    def test_pipeline_layers_are_few_fused_passes(self, d, k):
+        # Both Fourier layers of the solver at the budget edge: the pass at
+        # the last qudit takes no batch of tiny products (right == 1).
+        entries = fourier_matrix(d).entries
+        per_block = max(m for m in range(1, k) if d**m <= FUSED_SIDE_LIMIT)
+        for last in (k, k - 1):
+            passes = _layer_passes(entries, list(range(1, last + 1)), d, k)
+            assert len(passes) == -(-k // per_block)
+            assert passes[0][1] == 1
+            assert all(matrix.shape[0] <= FUSED_SIDE_LIMIT for matrix, _ in passes)
+
+    @pytest.mark.parametrize(
+        "d,k,positions",
+        [(2, 5, [1]), (2, 5, [1, 2, 1]), (2, 3, [1, 2, 3]), (6, 4, [1, 2, 3, 4]), (16, 2, [1, 2])],
+        ids=["one position", "repeated position", "tiny register", "d=6", "d=16"],
+    )
+    def test_calls_that_do_not_fuse_keep_the_exact_chain(self, d, k, positions):
+        entries = fourier_matrix(d).entries
+        passes = _layer_passes(entries, positions, d, k)
+        assert [right for _, right in passes] == [d ** (k - p) for p in positions]
+        assert all(matrix is entries for matrix, _ in passes)
+
+    def test_register_at_the_budget_still_solves(self):
+        # A fused gate never holds more entries than the register has amplitudes.
+        set_amplitude_budget(2**10)
+        try:
+            secret = (1, 0, 1, 1, 0, 0, 1, 0, 1)
+            assert run_quantum_bv(LinearOracle(secret, 2)).recovered == secret
+        finally:
+            set_amplitude_budget(None)
 
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())
@@ -410,6 +466,25 @@ class TestGateBudget:
     def test_gate_matrix_over_budget_rejected(self, build, what):
         with pytest.raises(CapacityError, match=f"{what}.*amplitudes"):
             build()
+
+    def test_oversized_gate_refused_before_its_copy(self, traced_peak):
+        entries = np.eye(512)  # 4 MiB as complex128
+
+        def refuse():
+            with pytest.raises(CapacityError, match="gate matrix"):
+                GateMatrix(entries, 2)
+
+        assert traced_peak(refuse)[1] < 64 * 1024
+
+    def test_dense_operator_refused_before_its_lifts(self, traced_peak):
+        set_amplitude_budget(1000)
+        ops = [(fourier_matrix(2), (1,))] * 3
+
+        def refuse():
+            with pytest.raises(CapacityError, match="dense operator"):
+                dense_operator(ops, 8)
+
+        assert traced_peak(refuse)[1] < 64 * 1024
 
     def test_gates_within_budget_build(self):
         assert fourier_matrix(4).qudit_span == 1
