@@ -1,5 +1,9 @@
 """Command-line harness: run experiments, sweep sizes, and self-check.
 
+Each command takes one route from argv to stdout: argparse and two helpers
+reject bad arguments with the usage status, ``run_experiment`` picks the
+solvers for ``run`` and ``sweep`` alike, and ``_render_rows`` writes the rows.
+
 Output is deterministic: the same argv always produces byte-identical
 stdout.  Exit codes: 0 success, 2 usage error (including a malformed amplitude
 budget), 3 capacity exceeded, 4 internal consistency failure (selfcheck
@@ -13,7 +17,7 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass
+from itertools import product
 from typing import Sequence, TextIO
 
 import numpy as np
@@ -36,29 +40,6 @@ REPORT_FIELDS = (
     "peak_probability",
     "seed",
 )
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Fully resolved description of one experiment invocation."""
-
-    d: int
-    n: int
-    secret: tuple[int, ...]
-    mode: str
-    seed: int = 0
-    output_format: str = "json"
-
-    def __post_init__(self) -> None:
-        secret = validate_digits(self.secret, self.d, length=self.n)
-        object.__setattr__(self, "secret", secret)
-        if self.mode not in MODES:
-            raise DomainError(f"mode must be one of {MODES}, got {self.mode!r}")
-        object.__setattr__(self, "seed", check_int(self.seed, "seed"))
-        if self.output_format not in FORMATS:
-            raise DomainError(
-                f"output format must be one of {FORMATS}, got {self.output_format!r}"
-            )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -96,66 +77,40 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_secret_text(text: str, parser: argparse.ArgumentParser) -> tuple[int, ...]:
-    try:
-        return tuple(int(tok.strip()) for tok in text.split(","))
-    except ValueError:
-        parser.error(f"--secret must be comma-separated integers, got {text!r}")
-        raise AssertionError("unreachable")
-
-
-def _config_from_args(
+def _secret_from_args(
     args: argparse.Namespace, parser: argparse.ArgumentParser
-) -> ExperimentConfig:
+) -> tuple[int, ...]:
+    """The ``run`` secret, parsed from ``--secret`` or drawn from ``--seed``; bad input exits 2."""
     if args.d < 2:
         parser.error(f"--d must be at least 2, got {args.d}")
     if args.n < 1:
         parser.error(f"--n must be at least 1, got {args.n}")
-    if args.secret is not None:
-        secret = _parse_secret_text(args.secret, parser)
-    else:
-        secret = random_secret(args.d, args.n, np.random.default_rng(args.seed))
+    if args.secret is None:
+        return random_secret(args.d, args.n, np.random.default_rng(args.seed))
     try:
-        return ExperimentConfig(
-            d=args.d,
-            n=args.n,
-            secret=secret,
-            mode=args.mode,
-            seed=args.seed,
-            output_format=args.output_format,
-        )
+        digits = [int(tok) for tok in args.secret.split(",")]
+    except ValueError:
+        parser.error(f"--secret must be comma-separated integers, got {args.secret!r}")
+    try:
+        return validate_digits(digits, args.d, length=args.n)
     except DomainError as exc:
         parser.error(str(exc))
-        raise AssertionError("unreachable")
 
 
-def parse_config(argv: Sequence[str]) -> ExperimentConfig:
-    """Parse ``run`` arguments into a fully resolved config.
-
-    Unknown flags, out-of-range numbers, and malformed secrets exit with the
-    usage status (2).  When no secret is given, one is drawn reproducibly
-    from the seed, so the returned config is always concrete.
-    """
-    parser = build_parser()
-    args = parser.parse_args(list(argv))
-    if args.command != "run":
-        parser.error(f"parse_config handles the run subcommand, got {args.command!r}")
-    return _config_from_args(args, parser)
-
-
-def run_experiment(config: ExperimentConfig) -> list[RunReport]:
-    """Execute the configured run, one fresh oracle per solver.
+def run_experiment(secret: Sequence[int], d: int, mode: str) -> list[RunReport]:
+    """Solve one instance in ``mode``, one fresh oracle per solver.
 
     With ``mode="both"`` the quantum and classical solvers are given separate
     oracles holding the same secret, so each report's query count reflects
     only its own solver.
     """
-    modes = ("quantum", "classical") if config.mode == "both" else (config.mode,)
+    if mode not in MODES:
+        raise DomainError(f"mode must be one of {MODES}, got {mode!r}")
+    modes = ("quantum", "classical") if mode == "both" else (mode,)
     reports = []
-    for mode in modes:
-        oracle = LinearOracle(config.secret, config.d)
-        solver = run_quantum_bv if mode == "quantum" else run_classical_bv
-        reports.append(solver(oracle))
+    for m in modes:
+        solver = run_quantum_bv if m == "quantum" else run_classical_bv
+        reports.append(solver(LinearOracle(secret, d)))
     return reports
 
 
@@ -209,7 +164,7 @@ def emit_report(
     """
     if output_format not in FORMATS:
         raise DomainError(f"output format must be one of {FORMATS}, got {output_format!r}")
-    secret = tuple(int(v) for v in secret)
+    secret = tuple(check_int(v, "secret digit", minimum=0) for v in secret)
     seed = check_int(seed, "seed")
     rows = []
     for report in reports:
@@ -231,7 +186,10 @@ def emit_report(
     return rendered
 
 
-def _parse_range(text: str, label: str, parser: argparse.ArgumentParser) -> list[int]:
+def _parse_range(
+    text: str, label: str, minimum: int, parser: argparse.ArgumentParser
+) -> range:
+    """Parse ``v`` or ``lo..hi``; exit 2 when malformed, empty or below ``minimum``."""
     try:
         if ".." in text:
             lo_text, hi_text = text.split("..", 1)
@@ -240,50 +198,45 @@ def _parse_range(text: str, label: str, parser: argparse.ArgumentParser) -> list
             lo = hi = int(text)
     except ValueError:
         parser.error(f"--{label} must be an integer or a range like 2..5, got {text!r}")
-        raise AssertionError("unreachable")
     if hi < lo:
         parser.error(f"--{label} range {text!r} is empty")
-    return list(range(lo, hi + 1))
+    if lo < minimum:
+        parser.error(f"--{label} values must be at least {minimum}, got {lo}")
+    return range(lo, hi + 1)
 
 
 def _sweep_rows(d_values: Sequence[int], n_values: Sequence[int], seed: int) -> list[dict]:
     rng = np.random.default_rng(seed)
     rows = []
-    for d in d_values:
-        for n in n_values:
-            secret = random_secret(d, n, rng)
-            quantum = run_quantum_bv(LinearOracle(secret, d))
-            classical = run_classical_bv(LinearOracle(secret, d))
-            rows.append(
-                {
-                    "d": d,
-                    "n": n,
-                    "secret": list(secret),
-                    "quantum_queries": quantum.oracle_queries,
-                    "classical_queries": classical.oracle_queries,
-                    "recovered_match": quantum.recovered == secret
-                    and classical.recovered == secret,
-                }
-            )
+    for d, n in product(d_values, n_values):
+        secret = random_secret(d, n, rng)
+        quantum, classical = run_experiment(secret, d, "both")
+        rows.append(
+            {
+                "d": d,
+                "n": n,
+                "secret": list(secret),
+                "quantum_queries": quantum.oracle_queries,
+                "classical_queries": classical.oracle_queries,
+                "recovered_match": quantum.recovered == secret
+                and classical.recovered == secret,
+            }
+        )
     return rows
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv if argv is None else list(argv))
+    args = parser.parse_args(argv)
     try:
         if args.command == "run":
-            config = _config_from_args(args, parser)
-            reports = run_experiment(config)
-            emit_report(reports, config.output_format, config.secret, config.seed, stream=sys.stdout)
+            secret = _secret_from_args(args, parser)
+            reports = run_experiment(secret, args.d, args.mode)
+            emit_report(reports, args.output_format, secret, args.seed, stream=sys.stdout)
             return 0
         if args.command == "sweep":
-            d_values = _parse_range(args.d, "d", parser)
-            n_values = _parse_range(args.n, "n", parser)
-            if d_values[0] < 2:
-                parser.error(f"--d values must be at least 2, got {d_values[0]}")
-            if n_values[0] < 1:
-                parser.error(f"--n values must be at least 1, got {n_values[0]}")
+            d_values = _parse_range(args.d, "d", 2, parser)
+            n_values = _parse_range(args.n, "n", 1, parser)
             rows = _sweep_rows(d_values, n_values, args.seed)
             sys.stdout.write(_render_rows(rows, args.output_format))
             return 0

@@ -69,7 +69,10 @@ class GateMatrix:
                 f"gate side {side} is not a positive power of the local dimension {d}"
             )
         check_capacity(side * side, f"gate matrix of side {side}")
-        entries = raw.astype(np.complex128)
+        try:
+            entries = raw.astype(np.complex128)
+        except (TypeError, ValueError) as exc:
+            raise DomainError(f"gate entries must be an array of complex numbers: {exc}") from exc
         if not np.all(np.isfinite(entries)):
             raise DomainError("gate entries must be finite")
         defect = entries @ entries.conj().T - np.eye(side)

@@ -61,7 +61,10 @@ class Statevector:
     def __post_init__(self) -> None:
         d = check_dimension(self.d)
         k = check_int(self.qudit_count, "qudit_count", minimum=1)
-        amps = np.array(self.amplitudes, dtype=np.complex128)
+        try:
+            amps = np.array(self.amplitudes, dtype=np.complex128)
+        except (TypeError, ValueError) as exc:
+            raise DomainError(f"amplitudes must be an array of complex numbers: {exc}") from exc
         if amps.ndim != 1:
             raise DomainError(f"amplitudes must be one-dimensional, got shape {amps.shape}")
         if amps.size != d**k:

@@ -74,6 +74,7 @@ def root_of_unity_sum(d: int, k: int) -> complex:
 
 def root_of_unity_check(max_d: int = 16) -> CheckResult:
     """Compare the direct sums against ``d * (k % d == 0)`` for k up to 3d."""
+    max_d = check_int(max_d, "max_d", minimum=2)
     worst = 0.0
     cases = 0
     for d in range(2, max_d + 1):
@@ -152,16 +153,12 @@ def dense_reference_bv(secret: Sequence[int], d: int) -> Statevector:
     Builds the Fourier spread and readout layers with ``dense_operator`` and
     the oracle as an explicit permutation matrix over all basis states, then
     applies the three matrices to the initial vector in turn.  Shares no code
-    with the strided route and with ``LinearOracle``.
+    with the strided route and with ``LinearOracle``.  ``dense_operator``
+    refuses registers above ``DENSE_DIM_LIMIT`` before anything large is built.
     """
     secret = validate_digits(secret, d)
     n = len(secret)
     size = d ** (n + 1)
-    if size > DENSE_DIM_LIMIT:
-        raise CapacityError(
-            f"dense reference on {n + 1} qudits of dimension {d} needs {size} amplitudes, "
-            f"above the limit of {DENSE_DIM_LIMIT}"
-        )
     spread, readout = _dense_bv_layers(d, n)
     # Every basis column splits into its input index and target digit; the
     # input's big-endian digits give f, which moves the target row.
@@ -210,6 +207,7 @@ def gate_equivalence_check(
     """
     d = check_dimension(d)
     k = check_int(qudit_count, "qudit_count", minimum=1)
+    samples = check_int(samples, "samples", minimum=1)
     dim = d**k
     if dim > DENSE_DIM_LIMIT:
         raise CapacityError(f"gate equivalence check needs dim <= {DENSE_DIM_LIMIT}, got {dim}")

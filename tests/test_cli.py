@@ -4,96 +4,105 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from quditbv import DomainError, RunReport
-from quditbv.cli import (
-    ExperimentConfig,
-    emit_report,
-    main,
-    parse_config,
-    run_experiment,
-)
+from quditbv import DomainError, RunReport, random_secret
+from quditbv.cli import emit_report, main, run_experiment
+
+
+def run_json(capsys, argv):
+    assert main(argv) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+def usage_error(capsys, argv):
+    """Run ``argv`` through ``main``, which must exit 2 with empty stdout; return stderr."""
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    captured = capsys.readouterr()
+    assert excinfo.value.code == 2
+    assert captured.out == ""
+    return captured.err
 
 
 class TestParseConfig:
-    def test_direct_field_mapping(self):
-        config = parse_config(["run", "--d", "3", "--n", "2", "--secret", "1,2", "--mode", "both"])
-        assert config.secret == (1, 2)
-        assert (config.d, config.n, config.mode) == (3, 2, "both")
-        assert (config.seed, config.output_format) == (0, "json")
+    """How ``main`` turns ``run`` argv into one experiment, read back from stdout."""
 
-    def test_secret_generated_from_seed_is_reproducible(self):
+    def test_direct_field_mapping(self, capsys):
+        argv = ["run", "--d", "3", "--n", "2", "--secret", "1,2", "--mode", "both"]
+        rows = run_json(capsys, argv)
+        assert [row["mode"] for row in rows] == ["quantum", "classical"]
+        for row in rows:
+            assert (row["d"], row["n"], row["secret"], row["seed"]) == (3, 2, [1, 2], 0)
+
+    def test_secret_generated_from_seed_is_reproducible(self, capsys):
         argv = ["run", "--d", "2", "--n", "3", "--seed", "7"]
-        assert parse_config(argv).secret == parse_config(argv).secret
-        assert len(parse_config(argv).secret) == 3
-        assert all(0 <= v < 2 for v in parse_config(argv).secret)
+        first, second = (run_json(capsys, argv)[0]["secret"] for _ in range(2))
+        assert first == second
+        assert tuple(first) == random_secret(2, 3, np.random.default_rng(7))
+        assert len(first) == 3
+        assert all(0 <= v < 2 for v in first)
 
-    def test_different_seeds_vary_the_secret(self):
-        secrets = {
-            parse_config(["run", "--d", "5", "--n", "4", "--seed", str(seed)]).secret
-            for seed in range(8)
-        }
+    def test_different_seeds_vary_the_secret(self, capsys):
+        argv = ["run", "--d", "5", "--n", "4", "--seed"]
+        secrets = {tuple(run_json(capsys, argv + [str(seed)])[0]["secret"]) for seed in range(8)}
         assert len(secrets) > 1
 
-    def test_digit_at_least_d_is_usage_error(self):
-        with pytest.raises(SystemExit) as excinfo:
-            parse_config(["run", "--d", "3", "--n", "2", "--secret", "1,3"])
-        assert excinfo.value.code == 2
+    def test_digit_at_least_d_is_usage_error(self, capsys):
+        err = usage_error(capsys, ["run", "--d", "3", "--n", "2", "--secret", "1,3"])
+        assert err.endswith("quditbv: error: digit 3 is outside [0, 3)\n")
 
-    def test_unknown_flag_is_usage_error(self):
-        with pytest.raises(SystemExit) as excinfo:
-            parse_config(["run", "--d", "3", "--n", "2", "--frobnicate", "1"])
-        assert excinfo.value.code == 2
+    def test_unknown_flag_is_usage_error(self, capsys):
+        err = usage_error(capsys, ["run", "--d", "3", "--n", "2", "--frobnicate", "1"])
+        assert "unrecognized arguments: --frobnicate 1" in err
 
-    def test_malformed_secret_is_usage_error(self):
-        with pytest.raises(SystemExit) as excinfo:
-            parse_config(["run", "--d", "3", "--n", "2", "--secret", "1,x"])
-        assert excinfo.value.code == 2
+    def test_malformed_secret_is_usage_error(self, capsys):
+        err = usage_error(capsys, ["run", "--d", "3", "--n", "2", "--secret", "1,x"])
+        assert err.endswith("error: --secret must be comma-separated integers, got '1,x'\n")
 
-    def test_wrong_secret_length_is_usage_error(self):
-        with pytest.raises(SystemExit) as excinfo:
-            parse_config(["run", "--d", "3", "--n", "2", "--secret", "1"])
-        assert excinfo.value.code == 2
+    def test_wrong_secret_length_is_usage_error(self, capsys):
+        err = usage_error(capsys, ["run", "--d", "3", "--n", "2", "--secret", "1"])
+        assert err.endswith("error: expected 2 digits, got 1\n")
 
     @pytest.mark.parametrize("argv", [["run", "--d", "1", "--n", "2"], ["run", "--d", "2", "--n", "0"]])
-    def test_out_of_range_sizes_are_usage_errors(self, argv):
-        with pytest.raises(SystemExit) as excinfo:
-            parse_config(argv)
-        assert excinfo.value.code == 2
-
-
-class TestExperimentConfig:
-    def test_validates_digits(self):
-        with pytest.raises(DomainError):
-            ExperimentConfig(d=3, n=2, secret=(1, 3), mode="quantum")
-
-    def test_validates_mode_and_format(self):
-        with pytest.raises(DomainError):
-            ExperimentConfig(d=3, n=2, secret=(1, 2), mode="sideways")
-        with pytest.raises(DomainError):
-            ExperimentConfig(d=3, n=2, secret=(1, 2), mode="both", output_format="xml")
+    def test_out_of_range_sizes_are_usage_errors(self, capsys, argv):
+        flag, minimum, value = ("--d", 2, 1) if argv[2] == "1" else ("--n", 1, 0)
+        err = usage_error(capsys, argv)
+        assert err.endswith(f"error: {flag} must be at least {minimum}, got {value}\n")
 
 
 class TestRunExperiment:
     def test_both_mode_uses_fresh_oracles(self):
-        config = ExperimentConfig(d=2, n=4, secret=(1, 0, 1, 1), mode="both")
-        reports = run_experiment(config)
+        reports = run_experiment((1, 0, 1, 1), 2, "both")
         assert [r.mode for r in reports] == ["quantum", "classical"]
         assert reports[0].oracle_queries == 1
         assert reports[1].oracle_queries == 4
         assert reports[0].recovered == reports[1].recovered == (1, 0, 1, 1)
 
     def test_quantum_all_zero_secret(self):
-        config = ExperimentConfig(d=4, n=3, secret=(0, 0, 0), mode="quantum")
-        reports = run_experiment(config)
+        reports = run_experiment((0, 0, 0), 4, "quantum")
         assert len(reports) == 1
         assert reports[0].recovered == (0, 0, 0)
 
-    def test_seeded_secret_agrees_across_modes(self):
-        config = parse_config(["run", "--d", "5", "--n", "2", "--mode", "both", "--seed", "11"])
-        reports = run_experiment(config)
-        assert reports[0].recovered == reports[1].recovered == config.secret
+    def test_seeded_secret_agrees_across_modes(self, capsys):
+        secret = random_secret(5, 2, np.random.default_rng(11))
+        reports = run_experiment(secret, 5, "both")
+        assert reports[0].recovered == reports[1].recovered == secret
+        rows = run_json(capsys, ["run", "--d", "5", "--n", "2", "--mode", "both", "--seed", "11"])
+        assert all(row["secret"] == row["recovered"] == list(secret) for row in rows)
+
+    def test_validates_digits(self):
+        with pytest.raises(DomainError):
+            run_experiment((1, 3), 3, "quantum")
+
+    def test_validates_mode_and_format(self, capsys):
+        with pytest.raises(DomainError):
+            run_experiment((1, 2), 3, "sideways")
+        err = usage_error(capsys, ["run", "--d", "3", "--n", "2", "--mode", "sideways"])
+        assert "argument --mode: invalid choice: 'sideways'" in err
+        err = usage_error(capsys, ["run", "--d", "3", "--n", "2", "--format", "xml"])
+        assert "argument --format: invalid choice: 'xml'" in err
 
 
 def make_report(**overrides):
@@ -137,9 +146,8 @@ class TestEmitReport:
         assert csv_text == "mode,d,n,secret,recovered,oracle_queries,peak_probability,seed\n"
 
     def test_both_mode_rows(self):
-        config = ExperimentConfig(d=3, n=2, secret=(1, 2), mode="both")
-        reports = run_experiment(config)
-        lines = emit_report(reports, "csv", secret=config.secret, seed=config.seed).splitlines()
+        reports = run_experiment((1, 2), 3, "both")
+        lines = emit_report(reports, "csv", secret=(1, 2), seed=0).splitlines()
         assert len(lines) == 3
         assert lines[1].startswith("quantum,3,2,1-2,1-2,1,")
         assert lines[2].startswith("classical,3,2,1-2,1-2,2,")
@@ -153,6 +161,12 @@ class TestEmitReport:
     def test_unknown_format_rejected(self):
         with pytest.raises(DomainError):
             emit_report([make_report()], "yaml", secret=(1, 2), seed=0)
+
+    @pytest.mark.parametrize("secret", [(1.9, 2), (True, 2), "12", (-1, 2)])
+    def test_bad_secret_digits_rejected(self, secret):
+        # Unchecked, each of these would render as a plausible digit string such as 1-2.
+        with pytest.raises(DomainError, match="secret digit"):
+            emit_report([make_report()], "csv", secret=secret, seed=0)
 
 
 class TestMainExitCodes:
@@ -213,6 +227,22 @@ class TestMainExitCodes:
             assert row["quantum_queries"] == 1
             assert row["classical_queries"] == row["n"]
             assert row["recovered_match"] is True
+
+    def test_sweep_csv_golden(self, capsys):
+        assert main(["sweep", "--d", "2..3", "--n", "1..3", "--format", "csv"]) == 0
+        assert capsys.readouterr().out == (
+            "d,n,secret,quantum_queries,classical_queries,recovered_match\n"
+            "2,1,1,1,1,true\n"
+            "2,2,1-1,1,2,true\n"
+            "2,3,0-0-0,1,3,true\n"
+            "3,1,0,1,1,true\n"
+            "3,2,0-0,1,2,true\n"
+            "3,3,2-1-2,1,3,true\n"
+        )
+
+    def test_sweep_below_minimum_error_line(self, capsys):
+        err = usage_error(capsys, ["sweep", "--d", "1..3", "--n", "1"])
+        assert err.splitlines()[-1] == "quditbv: error: --d values must be at least 2, got 1"
 
     def test_sweep_rejects_bad_range(self):
         with pytest.raises(SystemExit) as excinfo:

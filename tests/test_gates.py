@@ -73,6 +73,10 @@ class TestGateMatrix:
         with pytest.raises(DomainError):
             GateMatrix(np.eye(3), 2)
 
+    def test_rejects_non_numeric_entries(self):
+        with pytest.raises(DomainError, match="complex numbers"):
+            GateMatrix([["a", "b"], ["c", "d"]], 2)
+
     def test_entries_read_only(self):
         gate = fourier_matrix(3)
         with pytest.raises(ValueError):

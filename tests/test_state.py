@@ -90,6 +90,10 @@ class TestStatevector:
         with pytest.raises(DomainError):
             Statevector(np.ones(1), 1, 1)
 
+    def test_non_numeric_amplitudes_rejected(self):
+        with pytest.raises(DomainError, match="complex numbers"):
+            Statevector(["a", "b"], 2, 1)
+
 
 class TestBasisState:
     def test_all_zeros(self):

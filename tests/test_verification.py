@@ -49,6 +49,11 @@ class TestRootOfUnitySum:
         assert result.passed
         assert result.max_abs_error <= 1e-12
 
+    @pytest.mark.parametrize("max_d", [2.5, True, 1])
+    def test_grid_check_rejects_bad_max_d(self, max_d):
+        with pytest.raises(DomainError, match="max_d"):
+            root_of_unity_check(max_d=max_d)
+
 
 class TestGramCheck:
     def test_qubit_single(self):
@@ -197,6 +202,12 @@ class TestGateEquivalence:
     def test_non_integer_register_size_rejected(self, k):
         with pytest.raises(DomainError):
             gate_equivalence_check(2, k, samples=1)
+
+    @pytest.mark.parametrize("samples", [0, -1, 1.5, True])
+    def test_bad_sample_count_rejected(self, samples):
+        # With no samples the check would compare nothing and still report a pass.
+        with pytest.raises(DomainError, match="samples"):
+            gate_equivalence_check(2, 1, samples=samples)
 
 
 class TestRunAllChecks:
