@@ -27,7 +27,7 @@ from .budget import check_capacity
 from .errors import ConsistencyError, DomainError
 from .gates import FourierDirection, _check_position, apply_local_gate, fourier_matrix, omega_powers
 from .oracle import LinearOracle
-from .state import Statevector, basis_state, decode_index, validate_digits
+from .state import Statevector, _Owned, basis_state, decode_index, validate_digits
 
 PEAK_PROBABILITY_FLOOR = 1.0 - 1e-9
 PROBABILITY_SUM_TOL = 1e-9
@@ -88,7 +88,7 @@ def fourier_basis_state(s: Sequence[int], d: int) -> Statevector:
     for s_i in s:
         phases = (phases[:, None] + s_i * np.arange(d)).reshape(-1)
         phases %= d
-    return Statevector((omega_powers(d) / np.sqrt(size))[phases], d, n)
+    return Statevector(_Owned((omega_powers(d) / np.sqrt(size))[phases]), d, n)
 
 
 def quantum_bv_states(oracle: LinearOracle) -> QuantumTrace:

@@ -228,6 +228,8 @@ def _sweep_rows(d_values: Sequence[int], n_values: Sequence[int], seed: int) -> 
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "seed", 0) < 0:  # run and sweep; numpy seeds are non-negative
+        parser.error(f"--seed must be at least 0, got {args.seed}")
     try:
         if args.command == "run":
             secret = _secret_from_args(args, parser)

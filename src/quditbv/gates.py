@@ -5,9 +5,9 @@ Two independent execution routes are provided on purpose:
 * :func:`apply_local_gate` and :func:`apply_sum` act on the strided
   amplitude array without ever forming the full operator: a layer of
   single-qudit gates is batched matrix products through two scratch buffers,
-  one per block of adjacent qudits, and SUM powers share one modular-add
-  kernel, :func:`_sum_power`, which the oracle also uses to apply its
-  ``SUM**s_i`` gates.
+  one per block of adjacent qudits, and SUM powers are one modular-add pass
+  each, :func:`_sum_power`, which the oracle also runs on small registers.
+  The state they return adopts the last buffer without a copy.
 * :func:`dense_operator` builds the full ``d**k x d**k`` matrix for a gate
   sequence, for cross-checking the strided route on small registers.  Every
   gate, whatever its span, is lifted the same way: a Kronecker product with
@@ -26,7 +26,7 @@ import numpy as np
 
 from .budget import check_capacity
 from .errors import CapacityError, DomainError, check_int
-from .state import Statevector, check_dimension
+from .state import Statevector, _Owned, check_dimension
 
 UNITARITY_TOL = 1e-12
 DENSE_DIM_LIMIT = 256
@@ -57,7 +57,11 @@ class GateMatrix:
 
     def __post_init__(self) -> None:
         d = check_dimension(self.d)
-        raw = np.asarray(self.entries)  # no copy before the budget check
+        not_complex = "gate entries must be an array of complex numbers"
+        try:
+            raw = np.asarray(self.entries)  # no copy before the budget check
+        except (TypeError, ValueError) as exc:  # ragged rows, for one
+            raise DomainError(f"{not_complex}: {exc}") from exc
         shape = raw.shape
         if len(shape) != 2 or shape[0] != shape[1]:
             raise DomainError(f"gate matrix must be square, got shape {shape}")
@@ -72,7 +76,7 @@ class GateMatrix:
         try:
             entries = raw.astype(np.complex128)
         except (TypeError, ValueError) as exc:
-            raise DomainError(f"gate entries must be an array of complex numbers: {exc}") from exc
+            raise DomainError(f"{not_complex}: {exc}") from exc
         if not np.all(np.isfinite(entries)):
             raise DomainError("gate entries must be finite")
         defect = entries @ entries.conj().T - np.eye(side)
@@ -189,7 +193,7 @@ def apply_local_gate(state: Statevector, gate: GateMatrix, pos: int, *more: int)
     least ``d**4`` amplitudes, each block of adjacent positions is one product
     of ``G (x) ... (x) G`` (see :func:`_layer_passes`), which equals the chain
     to rounding (``TOL_ALGEBRA``).  Passes alternate between two scratch
-    buffers, and one :class:`Statevector` is built at the end.
+    buffers, and the returned :class:`Statevector` adopts the last one.
     """
     if gate.d != state.d:
         raise DomainError(f"gate dimension {gate.d} does not match state dimension {state.d}")
@@ -206,8 +210,7 @@ def apply_local_gate(state: Statevector, gate: GateMatrix, pos: int, *more: int)
         else:
             np.matmul(entries, amps.reshape(-1, side, right), out=out.reshape(-1, side, right))
         spare, amps = (amps if amps.flags.writeable else None), out  # not the caller's array
-    spare = None  # free it before the Statevector copy
-    return Statevector(amps, d, k)
+    return Statevector(_Owned(amps), d, k)
 
 
 def _sum_power(cube: np.ndarray, out: np.ndarray, control_ax: int, target_ax: int, m: int) -> None:
@@ -244,9 +247,9 @@ def apply_sum(state: Statevector, control: int, target: int) -> Statevector:
         raise DomainError("control and target must be distinct")
     d = state.d
     cube = state.amplitudes.reshape((d,) * k)
-    out = np.empty_like(cube)
-    _sum_power(cube, out, control - 1, target - 1, 1)
-    return Statevector(out.reshape(-1), d, k)
+    out = np.empty_like(state.amplitudes)
+    _sum_power(cube, out.reshape(cube.shape), control - 1, target - 1, 1)
+    return Statevector(_Owned(out), d, k)
 
 
 def _lift(entries: np.ndarray, positions: Sequence[int], d: int, k: int) -> np.ndarray:

@@ -46,12 +46,28 @@ def validate_digits(digits: Sequence[int], d: int, length: int | None = None) ->
     return tuple(out)
 
 
+class _Owned:
+    """An array the library has just allocated, for a :class:`Statevector` to adopt.
+
+    ``Statevector(_Owned(amps), d, k)`` takes ``amps`` as is, without the copy
+    that public construction makes, and makes it read-only.  ``amps`` must be a
+    fresh, C-contiguous complex128 array that no caller holds.
+    """
+
+    __slots__ = ("array",)
+
+    def __init__(self, array: np.ndarray):
+        self.array = array
+
+
 @dataclass(frozen=True, eq=False)
 class Statevector:
     """Immutable dense state of ``qudit_count`` qudits of dimension ``d``.
 
-    The amplitude array is copied on construction, validated to have exactly
-    ``d**qudit_count`` finite entries, and made read-only.
+    Validated to have exactly ``d**qudit_count`` finite entries, and made
+    read-only.  An amplitude array from a public caller is copied on
+    construction, so later changes to it cannot reach the state; arrays the
+    library has just built for the state are adopted without that copy.
     """
 
     amplitudes: np.ndarray
@@ -61,10 +77,13 @@ class Statevector:
     def __post_init__(self) -> None:
         d = check_dimension(self.d)
         k = check_int(self.qudit_count, "qudit_count", minimum=1)
-        try:
-            amps = np.array(self.amplitudes, dtype=np.complex128)
-        except (TypeError, ValueError) as exc:
-            raise DomainError(f"amplitudes must be an array of complex numbers: {exc}") from exc
+        if isinstance(self.amplitudes, _Owned):
+            amps = self.amplitudes.array
+        else:
+            try:
+                amps = np.array(self.amplitudes, dtype=np.complex128)
+            except (TypeError, ValueError) as exc:
+                raise DomainError(f"amplitudes must be an array of complex numbers: {exc}") from exc
         if amps.ndim != 1:
             raise DomainError(f"amplitudes must be one-dimensional, got shape {amps.shape}")
         if amps.size != d**k:
@@ -128,7 +147,7 @@ def basis_state(digits: Sequence[int], d: int) -> Statevector:
     check_capacity(size, "basis state")
     amps = np.zeros(size, dtype=np.complex128)
     amps[encode_digits(digits, d)] = 1.0
-    return Statevector(amps, d, len(digits))
+    return Statevector(_Owned(amps), d, len(digits))
 
 
 def tensor(a: Statevector, b: Statevector) -> Statevector:
@@ -137,7 +156,8 @@ def tensor(a: Statevector, b: Statevector) -> Statevector:
         raise DomainError(f"cannot tensor states of dimension {a.d} and {b.d}")
     check_capacity(a.size * b.size, "tensor product")
     # np.kron realizes exactly the big-endian composite index i_a * size_b + i_b.
-    return Statevector(np.kron(a.amplitudes, b.amplitudes), a.d, a.qudit_count + b.qudit_count)
+    amps = np.kron(a.amplitudes, b.amplitudes)
+    return Statevector(_Owned(amps), a.d, a.qudit_count + b.qudit_count)
 
 
 def inner_product(a: Statevector, b: Statevector) -> complex:

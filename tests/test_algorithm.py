@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quditbv import (
     ConsistencyError,
@@ -167,6 +169,17 @@ class TestRunQuantum:
             report = run_quantum_bv(LinearOracle(secret, 3))
             assert report.recovered == secret
             assert report.oracle_queries == 1
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_property_one_query_recovers_the_secret(self, data):
+        d = data.draw(st.integers(2, 64), label="d")
+        n = data.draw(st.integers(1, max(k for k in range(1, 12) if d ** (k + 1) <= 4096)), label="n")
+        secret = tuple(data.draw(st.lists(st.integers(0, d - 1), min_size=n, max_size=n), label="s"))
+        oracle = LinearOracle(secret, d)
+        report = run_quantum_bv(oracle)
+        assert report.recovered == secret
+        assert report.oracle_queries == oracle.query_count == 1
 
     def test_report_fields(self):
         report = run_quantum_bv(LinearOracle((4, 3), 5))

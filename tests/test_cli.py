@@ -71,6 +71,10 @@ class TestParseConfig:
         err = usage_error(capsys, argv)
         assert err.endswith(f"error: {flag} must be at least {minimum}, got {value}\n")
 
+    def test_negative_seed_is_usage_error(self, capsys):
+        err = usage_error(capsys, ["run", "--d", "3", "--n", "2", "--seed", "-1"])
+        assert err.endswith("error: --seed must be at least 0, got -1\n")
+
 
 class TestRunExperiment:
     def test_both_mode_uses_fresh_oracles(self):
@@ -243,6 +247,10 @@ class TestMainExitCodes:
     def test_sweep_below_minimum_error_line(self, capsys):
         err = usage_error(capsys, ["sweep", "--d", "1..3", "--n", "1"])
         assert err.splitlines()[-1] == "quditbv: error: --d values must be at least 2, got 1"
+
+    def test_sweep_negative_seed_is_usage_error(self, capsys):
+        err = usage_error(capsys, ["sweep", "--d", "2", "--n", "1", "--seed", "-1"])
+        assert err.splitlines()[-1] == "quditbv: error: --seed must be at least 0, got -1"
 
     def test_sweep_rejects_bad_range(self):
         with pytest.raises(SystemExit) as excinfo:

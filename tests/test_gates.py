@@ -77,6 +77,10 @@ class TestGateMatrix:
         with pytest.raises(DomainError, match="complex numbers"):
             GateMatrix([["a", "b"], ["c", "d"]], 2)
 
+    def test_rejects_ragged_entries(self):
+        with pytest.raises(DomainError, match="complex numbers"):
+            GateMatrix([[1, 0], [0]], 2)
+
     def test_entries_read_only(self):
         gate = fourier_matrix(3)
         with pytest.raises(ValueError):
@@ -206,6 +210,12 @@ class TestApplyLocalGate:
         dense = dense_operator([(gate, (p,)) for p in positions], k)
         expected = dense.entries @ state.amplitudes
         assert np.max(np.abs(out.amplitudes - expected)) <= TOL_ALGEBRA
+
+    def test_one_position_traced_peak_is_one_buffer(self, traced_peak):
+        # One pass into one buffer, which the result adopts without a copy.
+        state = random_state(2, 16, np.random.default_rng(16))
+        out, peak = traced_peak(apply_local_gate, state, fourier_matrix(2), 9)
+        assert peak <= 1.25 * out.amplitudes.nbytes
 
     def test_input_amplitudes_unchanged(self):
         state = random_state(3, 3, np.random.default_rng(5))

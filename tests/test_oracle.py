@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quditbv import (
     DomainError,
@@ -11,11 +13,21 @@ from quditbv import (
     decode_index,
     random_secret,
 )
+from quditbv.oracle import _GATHER_CHUNK
 
 
 def random_state(d, k, rng):
     raw = rng.normal(size=d**k) + 1j * rng.normal(size=d**k)
     return Statevector(raw / np.linalg.norm(raw), d, k)
+
+
+@st.composite
+def small_instances(draw):
+    """``(d, n, secret)`` with ``d**(n+1) <= 4096``."""
+    d = draw(st.integers(2, 64))
+    n = draw(st.integers(1, max(k for k in range(1, 12) if d ** (k + 1) <= 4096)))
+    secret = tuple(draw(st.lists(st.integers(0, d - 1), min_size=n, max_size=n)))
+    return d, n, secret
 
 
 class TestEvalClassical:
@@ -102,14 +114,43 @@ class TestApplyQuantum:
                 out = LinearOracle(secret, d).apply_quantum(state)
                 assert np.array_equal(out.amplitudes, expected.amplitudes), (d, secret)
 
+    @pytest.mark.parametrize("d,n", [(2, 14), (3, 9), (7, 5)])
+    def test_equals_chain_of_sum_gates_across_gather_blocks(self, d, n):
+        # Registers above one gather block take the gather route; their inputs
+        # span several blocks, and at d = 3 and 7 the last block is partial.
+        assert d ** (n + 1) > _GATHER_CHUNK
+        rng = np.random.default_rng(d * n)
+        secret = random_secret(d, n, rng)
+        state = random_state(d, n + 1, rng)
+        expected = state
+        for pos, s in enumerate(secret, start=1):
+            for _ in range(s):
+                expected = apply_sum(expected, pos, n + 1)
+        out = LinearOracle(secret, d).apply_quantum(state)
+        assert np.array_equal(out.amplitudes, expected.amplitudes)
+
     @pytest.mark.parametrize("d,n", [(2, 16), (3, 9)])
-    def test_traced_peak_is_at_most_three_states(self, d, n, traced_peak):
+    def test_traced_peak_is_at_most_one_and_a_half_states(self, d, n, traced_peak):
+        # One output buffer, which the result adopts, plus f and one gather step.
         rng = np.random.default_rng(d + n)
         secret = tuple(int(v) for v in rng.integers(1, d, size=n))
         oracle = LinearOracle(secret, d)
         state = random_state(d, n + 1, rng)
         _, peak = traced_peak(oracle.apply_quantum, state)
-        assert peak <= 3 * state.amplitudes.nbytes
+        assert peak <= 1.5 * state.amplitudes.nbytes
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_property_equals_chain_of_sum_gates(self, data):
+        d, n, secret = data.draw(small_instances(), label="instance")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        state = random_state(d, n + 1, rng)
+        expected = state
+        for pos, s in enumerate(secret, start=1):
+            for _ in range(s):
+                expected = apply_sum(expected, pos, n + 1)
+        out = LinearOracle(secret, d).apply_quantum(state)
+        assert np.array_equal(out.amplitudes, expected.amplitudes)
 
     def test_register_size_mismatch_rejected(self):
         oracle = LinearOracle((1, 2), 3)

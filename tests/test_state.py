@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from quditbv import (
     DEFAULT_AMPLITUDE_BUDGET,
@@ -15,6 +17,7 @@ from quditbv import (
     set_amplitude_budget,
     tensor,
 )
+from quditbv.state import _Owned
 
 
 class TestEncodeDecode:
@@ -43,6 +46,13 @@ class TestEncodeDecode:
         assert d**n <= 10**4
         for i in range(d**n):
             assert encode_digits(decode_index(i, d, n), d) == i
+
+    @given(data=st.data())
+    def test_property_round_trip(self, data):
+        d = data.draw(st.integers(2, 64), label="d")
+        n = data.draw(st.integers(1, max(k for k in range(1, 12) if d ** (k + 1) <= 4096)), label="n")
+        x = tuple(data.draw(st.lists(st.integers(0, d - 1), min_size=n, max_size=n), label="x"))
+        assert decode_index(encode_digits(x, d), d, n) == x
 
     def test_all_digit_strings_matches_index_order(self):
         for i, digits in enumerate(all_digit_strings(3, 3)):
@@ -85,6 +95,25 @@ class TestStatevector:
         assert sv.amplitudes[0] == 1.0
         with pytest.raises(ValueError):
             sv.amplitudes[0] = 0.0
+
+    def test_public_construction_copies_even_a_complex_array(self):
+        raw = np.array([1.0, 0.0, 0.0, 0.0], dtype=np.complex128)
+        sv = Statevector(raw, 2, 2)
+        assert not np.shares_memory(sv.amplitudes, raw)
+        raw[0] = 0.5
+        assert sv.amplitudes[0] == 1.0
+        assert raw.flags.writeable
+
+    def test_owned_array_is_adopted_without_a_copy(self):
+        amps = np.zeros(4, dtype=np.complex128)
+        sv = Statevector(_Owned(amps), 2, 2)
+        assert sv.amplitudes is amps
+        assert not amps.flags.writeable
+
+    @pytest.mark.parametrize("amps", [np.zeros(3, complex), np.zeros((2, 2), complex), np.full(4, np.inf + 0j)])
+    def test_owned_array_is_still_validated(self, amps):
+        with pytest.raises(DomainError):
+            Statevector(_Owned(amps), 2, 2)
 
     def test_bad_dimension_rejected(self):
         with pytest.raises(DomainError):
