@@ -8,7 +8,6 @@ Run from the repository root:
 import numpy as np
 
 from quditbv import (
-    FourierDirection,
     apply_local_gate,
     apply_sum,
     basis_state,
@@ -27,7 +26,7 @@ def show_fourier_matrices():
 
     for d in (3, 5):
         gate = fourier_matrix(d)
-        inverse = fourier_matrix(d, FourierDirection.INVERSE)
+        inverse = gate.adjoint()
         roundtrip = gate.entries @ inverse.entries
         print(
             f"d={d}: {d}x{d} unitary, forward@inverse deviates from identity by "

@@ -28,7 +28,6 @@ from .budget import (
 )
 from .errors import CapacityError, ConsistencyError, DomainError, QuditError
 from .gates import (
-    FourierDirection,
     GateMatrix,
     apply_local_gate,
     apply_sum,
@@ -67,7 +66,6 @@ __all__ = [
     "ConsistencyError",
     "DEFAULT_AMPLITUDE_BUDGET",
     "DomainError",
-    "FourierDirection",
     "GateMatrix",
     "LinearOracle",
     "MeasurementOutcome",

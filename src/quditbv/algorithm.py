@@ -17,7 +17,6 @@ probabilities, guarded so the peak must carry essentially all of the weight;
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -25,7 +24,7 @@ import numpy as np
 
 from .budget import check_capacity
 from .errors import ConsistencyError, DomainError
-from .gates import FourierDirection, _check_position, apply_local_gate, fourier_matrix, omega_powers
+from .gates import _check_position, apply_local_gate, fourier_matrix, omega_powers
 from .oracle import LinearOracle
 from .state import Statevector, _Owned, basis_state, decode_index, validate_digits
 
@@ -51,7 +50,6 @@ class RunReport:
     recovered: tuple[int, ...]
     oracle_queries: int
     peak_probability: float
-    elapsed: float
 
 
 @dataclass(frozen=True)
@@ -99,11 +97,10 @@ def quantum_bv_states(oracle: LinearOracle) -> QuantumTrace:
     """
     d, n = oracle.d, oracle.n
     check_capacity(d ** (n + 1), "pipeline register")
-    forward = fourier_matrix(d, FourierDirection.FORWARD)
+    forward = fourier_matrix(d)
     post_fourier = apply_local_gate(basis_state((0,) * n + (d - 1,), d), forward, *range(1, n + 2))
     post_oracle = oracle.apply_quantum(post_fourier)
-    inverse = fourier_matrix(d, FourierDirection.INVERSE)
-    final = apply_local_gate(post_oracle, inverse, *range(1, n + 1))
+    final = apply_local_gate(post_oracle, forward.adjoint(), *range(1, n + 1))
     return QuantumTrace(post_fourier, post_oracle, final)
 
 
@@ -162,7 +159,6 @@ def run_quantum_bv(oracle: LinearOracle, seed: int = 0) -> RunReport:
     pipeline draws nothing at random: ``seed`` is ignored and accepted only
     so that callers passing it positionally keep working.
     """
-    start = time.perf_counter()
     queries_before = oracle.query_count
     trace = quantum_bv_states(oracle)
     probs = marginal_probabilities(trace.final, range(1, oracle.n + 1))
@@ -181,7 +177,6 @@ def run_quantum_bv(oracle: LinearOracle, seed: int = 0) -> RunReport:
         recovered=recovered,
         oracle_queries=oracle.query_count - queries_before,
         peak_probability=peak,
-        elapsed=time.perf_counter() - start,
     )
 
 
@@ -191,7 +186,6 @@ def run_classical_bv(oracle: LinearOracle) -> RunReport:
     Querying the i-th unit string returns ``(s . e_i) mod d = s_i`` directly,
     so the recovered digits are exact and the peak probability is 1.
     """
-    start = time.perf_counter()
     queries_before = oracle.query_count
     n = oracle.n
     recovered = []
@@ -205,5 +199,4 @@ def run_classical_bv(oracle: LinearOracle) -> RunReport:
         recovered=tuple(recovered),
         oracle_queries=oracle.query_count - queries_before,
         peak_probability=1.0,
-        elapsed=time.perf_counter() - start,
     )

@@ -18,7 +18,7 @@ import io
 import json
 import sys
 from itertools import product
-from typing import Sequence, TextIO
+from typing import Sequence
 
 import numpy as np
 
@@ -154,9 +154,8 @@ def emit_report(
     output_format: str,
     secret: Sequence[int],
     seed: int,
-    stream: TextIO | None = None,
 ) -> str:
-    """Serialize run reports with a fixed field order, write, and return.
+    """Serialize run reports with a fixed field order and return the text.
 
     JSON renders digit strings as integer arrays; csv and text join digits
     with ``-``.  ``secret`` and ``seed`` are supplied by the caller: solvers
@@ -180,10 +179,7 @@ def emit_report(
                 "seed": seed,
             }
         )
-    rendered = _render_rows(rows, output_format, fields=REPORT_FIELDS)
-    if stream is not None:
-        stream.write(rendered)
-    return rendered
+    return _render_rows(rows, output_format, fields=REPORT_FIELDS)
 
 
 def _parse_range(
@@ -234,7 +230,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.command == "run":
             secret = _secret_from_args(args, parser)
             reports = run_experiment(secret, args.d, args.mode)
-            emit_report(reports, args.output_format, secret, args.seed, stream=sys.stdout)
+            sys.stdout.write(emit_report(reports, args.output_format, secret, args.seed))
             return 0
         if args.command == "sweep":
             d_values = _parse_range(args.d, "d", 2, parser)

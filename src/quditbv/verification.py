@@ -22,7 +22,6 @@ from .algorithm import fourier_basis_state, quantum_bv_states
 from .errors import CapacityError, check_int
 from .gates import (
     DENSE_DIM_LIMIT,
-    FourierDirection,
     GateMatrix,
     apply_local_gate,
     apply_sum,
@@ -140,8 +139,8 @@ def kickback_check(d: int) -> CheckResult:
 @lru_cache(maxsize=None)
 def _dense_bv_layers(d: int, n: int) -> tuple[GateMatrix, GateMatrix]:
     """Dense Fourier spread and inverse-readout layers for an (n+1)-qudit run."""
-    forward = fourier_matrix(d, FourierDirection.FORWARD)
-    inverse = fourier_matrix(d, FourierDirection.INVERSE)
+    forward = fourier_matrix(d)
+    inverse = forward.adjoint()
     spread = dense_operator([(forward, (p,)) for p in range(1, n + 2)], n + 1)
     readout = dense_operator([(inverse, (p,)) for p in range(1, n + 1)], n + 1)
     return spread, readout

@@ -1,4 +1,3 @@
-import io
 import json
 import os
 import subprocess
@@ -7,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+import quditbv
 from quditbv import DomainError, RunReport, random_secret
 from quditbv.cli import emit_report, main, run_experiment
 
@@ -117,7 +117,6 @@ def make_report(**overrides):
         recovered=(1, 2),
         oracle_queries=1,
         peak_probability=1.0,
-        elapsed=0.001,
     )
     base.update(overrides)
     return RunReport(**base)
@@ -156,10 +155,12 @@ class TestEmitReport:
         assert lines[1].startswith("quantum,3,2,1-2,1-2,1,")
         assert lines[2].startswith("classical,3,2,1-2,1-2,2,")
 
-    def test_stream_write_matches_return(self):
-        stream = io.StringIO()
-        text = emit_report([make_report()], "text", secret=(1, 2), seed=0, stream=stream)
-        assert stream.getvalue() == text
+    def test_text_format_line(self):
+        text = emit_report([make_report()], "text", secret=(1, 2), seed=0)
+        assert text == (
+            "mode=quantum d=3 n=2 secret=1-2 recovered=1-2 "
+            "oracle_queries=1 peak_probability=1.0 seed=0\n"
+        )
         assert "recovered=1-2" in text
 
     def test_unknown_format_rejected(self):
@@ -277,6 +278,13 @@ def test_package_import_does_not_load_the_cli():
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
     )
     assert proc.stdout.strip() == "[]"
+
+
+def test_public_names_resolve_once():
+    names = quditbv.__all__
+    assert len(names) == len(set(names))
+    missing = [name for name in names if not hasattr(quditbv, name)]
+    assert missing == []
 
 
 def test_stdout_and_amplitudes_do_not_depend_on_blas_threads():

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from quditbv import (
     CapacityError,
     DomainError,
-    FourierDirection,
     GateMatrix,
     LinearOracle,
     Statevector,
@@ -82,13 +81,20 @@ class TestGateMatrix:
             GateMatrix([[1, 0], [0]], 2)
 
     def test_entries_read_only(self):
-        gate = fourier_matrix(3)
-        with pytest.raises(ValueError):
-            gate.entries[0, 0] = 0.0
+        for gate in (fourier_matrix(3), fourier_matrix(3).adjoint()):
+            with pytest.raises(ValueError):
+                gate.entries[0, 0] = 0.0
 
     def test_qudit_span(self):
         assert fourier_matrix(5).qudit_span == 1
         assert sum_matrix(5).qudit_span == 2
+
+    @pytest.mark.parametrize("d", range(2, 6))
+    def test_adjoint_of_sum_inverts_it_exactly(self, d):
+        gate = sum_matrix(d)
+        adjoint = gate.adjoint()
+        assert adjoint.qudit_span == 2
+        assert np.array_equal(adjoint.entries @ gate.entries, np.eye(d * d))
 
 
 class TestFourierMatrix:
@@ -101,13 +107,13 @@ class TestFourierMatrix:
         assert abs(fourier_matrix(3).entries[1, 2] - omega**2 / np.sqrt(3)) <= 1e-15
 
     def test_forward_times_inverse_is_identity_d4(self):
-        product = fourier_matrix(4).entries @ fourier_matrix(4, FourierDirection.INVERSE).entries
+        product = fourier_matrix(4).entries @ fourier_matrix(4).adjoint().entries
         assert np.max(np.abs(product - np.eye(4))) <= 1e-12
 
     @pytest.mark.parametrize("d", range(2, 12))
     def test_inverse_is_conjugate_transpose(self, d):
-        forward = fourier_matrix(d, FourierDirection.FORWARD).entries
-        inverse = fourier_matrix(d, FourierDirection.INVERSE).entries
+        forward = fourier_matrix(d).entries
+        inverse = fourier_matrix(d).adjoint().entries
         assert np.array_equal(inverse, forward.conj().T)
 
     @pytest.mark.parametrize("d", range(2, 17))
@@ -170,9 +176,7 @@ class TestApplyLocalGate:
             for pos in range(1, k + 1):
                 roundtrip = apply_local_gate(roundtrip, fourier_matrix(d), pos)
             for pos in range(1, k + 1):
-                roundtrip = apply_local_gate(
-                    roundtrip, fourier_matrix(d, FourierDirection.INVERSE), pos
-                )
+                roundtrip = apply_local_gate(roundtrip, fourier_matrix(d).adjoint(), pos)
             assert np.max(np.abs(roundtrip.amplitudes - state.amplitudes)) <= 1e-9
 
     def test_position_out_of_range(self):
@@ -499,6 +503,12 @@ class TestGateBudget:
                 dense_operator(ops, 8)
 
         assert traced_peak(refuse)[1] < 64 * 1024
+
+    def test_adjoint_over_budget_rejected(self):
+        gate = fourier_matrix(4)  # side**2 == 16 fits
+        set_amplitude_budget(15)
+        with pytest.raises(CapacityError, match="gate matrix of side 4"):
+            gate.adjoint()
 
     def test_gates_within_budget_build(self):
         assert fourier_matrix(4).qudit_span == 1

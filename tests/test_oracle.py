@@ -13,7 +13,7 @@ from quditbv import (
     decode_index,
     random_secret,
 )
-from quditbv.oracle import _GATHER_CHUNK
+from quditbv.oracle import _GATHER_CHUNK, _gather_rotated, _sum_passes
 
 
 def random_state(d, k, rng):
@@ -28,6 +28,12 @@ def small_instances(draw):
     n = draw(st.integers(1, max(k for k in range(1, 12) if d ** (k + 1) <= 4096)))
     secret = tuple(draw(st.lists(st.integers(0, d - 1), min_size=n, max_size=n)))
     return d, n, secret
+
+
+# The 157 shapes just above one gather block, where the two routes can be compared.
+GATHER_SHAPES = [
+    (d, n) for d in range(2, 257) for n in range(1, 16) if _GATHER_CHUNK < d ** (n + 1) <= 2**16
+]
 
 
 class TestEvalClassical:
@@ -118,16 +124,18 @@ class TestApplyQuantum:
     def test_equals_chain_of_sum_gates_across_gather_blocks(self, d, n):
         # Registers above one gather block take the gather route; their inputs
         # span several blocks, and at d = 3 and 7 the last block is partial.
+        # The all-zero and all-(d-1) secrets read the boundary rows d and 1
+        # of the rotation windows.
         assert d ** (n + 1) > _GATHER_CHUNK
         rng = np.random.default_rng(d * n)
-        secret = random_secret(d, n, rng)
         state = random_state(d, n + 1, rng)
-        expected = state
-        for pos, s in enumerate(secret, start=1):
-            for _ in range(s):
-                expected = apply_sum(expected, pos, n + 1)
-        out = LinearOracle(secret, d).apply_quantum(state)
-        assert np.array_equal(out.amplitudes, expected.amplitudes)
+        for secret in (random_secret(d, n, rng), (0,) * n, (d - 1,) * n):
+            expected = state
+            for pos, s in enumerate(secret, start=1):
+                for _ in range(s):
+                    expected = apply_sum(expected, pos, n + 1)
+            out = LinearOracle(secret, d).apply_quantum(state)
+            assert np.array_equal(out.amplitudes, expected.amplitudes), secret
 
     @pytest.mark.parametrize("d,n", [(2, 16), (3, 9)])
     def test_traced_peak_is_at_most_one_and_a_half_states(self, d, n, traced_peak):
@@ -151,6 +159,15 @@ class TestApplyQuantum:
                 expected = apply_sum(expected, pos, n + 1)
         out = LinearOracle(secret, d).apply_quantum(state)
         assert np.array_equal(out.amplitudes, expected.amplitudes)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_property_gather_equals_slice_passes(self, data):
+        d, n = data.draw(st.sampled_from(GATHER_SHAPES), label="shape")
+        secret = tuple(data.draw(st.lists(st.integers(0, d - 1), min_size=n, max_size=n), label="s"))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        amps = random_state(d, n + 1, rng).amplitudes
+        assert np.array_equal(_gather_rotated(amps, secret, d), _sum_passes(amps, secret, d))
 
     def test_register_size_mismatch_rejected(self):
         oracle = LinearOracle((1, 2), 3)

@@ -5,7 +5,6 @@ from quditbv import (
     CapacityError,
     CheckResult,
     DomainError,
-    FourierDirection,
     LinearOracle,
     all_digit_strings,
     decode_index,
@@ -153,7 +152,8 @@ class TestDenseReference:
 
     @pytest.mark.parametrize("d,n", [(2, 3), (3, 2), (5, 2), (16, 1)])
     def test_matches_oracle_built_column_by_column(self, d, n):
-        forward, inverse = fourier_matrix(d), fourier_matrix(d, FourierDirection.INVERSE)
+        forward = fourier_matrix(d)
+        inverse = forward.adjoint()
         spread = dense_operator([(forward, (p,)) for p in range(1, n + 2)], n + 1).entries
         readout = dense_operator([(inverse, (p,)) for p in range(1, n + 1)], n + 1).entries
         size = d ** (n + 1)
