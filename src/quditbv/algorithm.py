@@ -4,7 +4,8 @@ The quantum pipeline, for an oracle on ``n`` input qudits of dimension ``d``:
 
 1. start in |0...0>|d-1>;
 2. apply the forward Fourier gate to every qudit (the last qudit becomes the
-   phase-kickback state);
+   phase-kickback state): the result is the Fourier basis state labeled
+   ``0...0, d-1``, built directly as a product of Fourier columns;
 3. query the oracle once, which multiplies each input branch |x> by the
    phase ``omega**f(x)``;
 4. apply the inverse Fourier gate to the first ``n`` qudits, collapsing the
@@ -26,7 +27,7 @@ from .budget import check_capacity
 from .errors import ConsistencyError, DomainError
 from .gates import _check_position, apply_local_gate, fourier_matrix, omega_powers
 from .oracle import LinearOracle
-from .state import Statevector, _Owned, basis_state, decode_index, validate_digits
+from .state import Statevector, _Owned, decode_index, validate_digits
 
 PEAK_PROBABILITY_FLOOR = 1.0 - 1e-9
 PROBABILITY_SUM_TOL = 1e-9
@@ -64,43 +65,41 @@ class QuantumTrace:
 def kickback_state(d: int) -> Statevector:
     """Single-qudit state whose oracle target kicks phases back to the input.
 
-    Produced by the forward Fourier gate on |d-1>; adding ``c`` to this state
-    modulo ``d`` multiplies it by ``exp(2*pi*i*c/d)``.
+    The Fourier gate's last column, the Fourier basis state labeled ``d-1``;
+    adding ``c`` to it modulo ``d`` multiplies it by ``exp(2*pi*i*c/d)``.
     """
-    return apply_local_gate(basis_state((d - 1,), d), fourier_matrix(d), 1)
+    return fourier_basis_state((d - 1,), d)
 
 
 def fourier_basis_state(s: Sequence[int], d: int) -> Statevector:
     """The n-qudit Fourier basis state labeled ``s``.
 
-    Amplitude of |x> is ``omega**((s . x) mod d) / sqrt(d**n)``.  These states
-    are exactly orthonormal, and the quantum pipeline maps the secret ``s``
-    onto this state just before its inverse Fourier readout.
+    Amplitude of |x> is ``omega**((s . x) mod d) / sqrt(d**n)``: the product of
+    the Fourier gate's columns ``s_1 ... s_n`` (bit for bit those of
+    :func:`fourier_matrix`), one broadcast multiply per qudit.  These states
+    are exactly orthonormal; the pipeline starts from the one labeled
+    ``0...0, d-1`` and maps the secret onto ``s`` before its inverse readout.
     """
     s = validate_digits(s, d)
-    n = len(s)
-    size = d**n
-    check_capacity(size, "Fourier basis state")
-    # (s . x) mod d over the big-endian index, one appended digit at a time.
-    phases = np.zeros(1, dtype=np.int64)
-    for s_i in s:
-        phases = (phases[:, None] + s_i * np.arange(d)).reshape(-1)
-        phases %= d
-    return Statevector(_Owned((omega_powers(d) / np.sqrt(size))[phases]), d, n)
+    check_capacity(d ** len(s), "Fourier basis state")
+    columns = omega_powers(d)[np.multiply.outer(s, np.arange(d)) % d] / np.sqrt(d)
+    amps = columns[0]
+    for column in columns[1:]:
+        amps = (amps[:, None] * column).reshape(-1)
+    return Statevector(_Owned(amps), d, len(s))
 
 
 def quantum_bv_states(oracle: LinearOracle) -> QuantumTrace:
     """Run the quantum pipeline once and keep the intermediate states.
 
-    Applies the oracle exactly once.  Raises a capacity error before
-    allocating if ``d**(n+1)`` exceeds the amplitude budget.
+    Applies the oracle exactly once and one gate layer.  Raises a capacity
+    error before allocating if ``d**(n+1)`` exceeds the amplitude budget.
     """
     d, n = oracle.d, oracle.n
     check_capacity(d ** (n + 1), "pipeline register")
-    forward = fourier_matrix(d)
-    post_fourier = apply_local_gate(basis_state((0,) * n + (d - 1,), d), forward, *range(1, n + 2))
+    post_fourier = fourier_basis_state((0,) * n + (d - 1,), d)
     post_oracle = oracle.apply_quantum(post_fourier)
-    final = apply_local_gate(post_oracle, forward.adjoint(), *range(1, n + 1))
+    final = apply_local_gate(post_oracle, fourier_matrix(d).adjoint(), *range(1, n + 1))
     return QuantumTrace(post_fourier, post_oracle, final)
 
 

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quditbv import (
+    CapacityError,
     ConsistencyError,
     DomainError,
     LinearOracle,
@@ -23,8 +24,16 @@ from quditbv import (
     random_secret,
     run_classical_bv,
     run_quantum_bv,
+    set_amplitude_budget,
     tensor,
 )
+from quditbv.verification import TOL_ALGEBRA
+
+
+def forward_layer(d, n):
+    """The pre-query state as the gate route builds it: F on every qudit of |0...0, d-1>."""
+    start = basis_state((0,) * n + (d - 1,), d)
+    return apply_local_gate(start, fourier_matrix(d), *range(1, n + 2))
 
 
 class TestKickbackState:
@@ -82,6 +91,29 @@ class TestFourierBasisState:
         sv, peak = traced_peak(fourier_basis_state, label, d)
         assert peak <= 3 * sv.amplitudes.nbytes
 
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_property_equals_fourier_gates_on_the_basis_state(self, data):
+        d = data.draw(st.integers(2, 64), label="d")
+        n = data.draw(st.integers(1, max(k for k in range(1, 13) if d**k <= 4096)), label="n")
+        label = tuple(data.draw(st.lists(st.integers(0, d - 1), min_size=n, max_size=n), label="s"))
+        gated = apply_local_gate(basis_state(label, d), fourier_matrix(d), *range(1, n + 1))
+        product = fourier_basis_state(label, d)
+        assert np.max(np.abs(product.amplitudes - gated.amplitudes)) <= TOL_ALGEBRA
+
+    @pytest.mark.parametrize(
+        "build,budget",
+        [(lambda: fourier_basis_state((1, 2, 0), 3), 26), (lambda: kickback_state(5), 4)],
+        ids=["fourier_basis_state", "kickback_state"],
+    )
+    def test_over_budget_rejected(self, build, budget):
+        set_amplitude_budget(budget)
+        try:
+            with pytest.raises(CapacityError, match="Fourier basis state.*amplitudes"):
+                build()
+        finally:
+            set_amplitude_budget(None)
+
     def test_distinct_labels_are_orthogonal(self):
         a = fourier_basis_state((1, 0), 3)
         b = fourier_basis_state((1, 2), 3)
@@ -115,6 +147,38 @@ class TestQuantumTrace:
         trace = quantum_bv_states(LinearOracle(secret, d))
         expected = tensor(basis_state(secret, d), kickback_state(d))
         assert np.max(np.abs(trace.final.amplitudes - expected.amplitudes)) <= 1e-9
+
+    @pytest.mark.parametrize("d,n", [(16, 3), (64, 2), (2, 16)])
+    def test_post_fourier_is_bit_identical_to_the_forward_layer(self, d, n):
+        trace = quantum_bv_states(LinearOracle((1,) * n, d))
+        assert np.array_equal(trace.post_fourier.amplitudes, forward_layer(d, n).amplitudes)
+
+    @pytest.mark.parametrize("d,n", [(2, 12), (3, 9), (5, 4)])
+    def test_post_fourier_matches_the_forward_layer(self, d, n):
+        # Here the column product rounds differently from the fused gate blocks.
+        trace = quantum_bv_states(LinearOracle((1,) * n, d))
+        error = np.abs(trace.post_fourier.amplitudes - forward_layer(d, n).amplitudes)
+        assert np.max(error) <= TOL_ALGEBRA
+
+    def test_one_gate_layer_and_no_basis_state_per_solve(self, monkeypatch):
+        calls = []
+
+        def counting(name, fn):
+            def wrapped(*args):
+                calls.append(name)
+                return fn(*args)
+
+            return wrapped
+
+        monkeypatch.setattr(
+            "quditbv.algorithm.apply_local_gate", counting("apply_local_gate", apply_local_gate)
+        )
+        # algorithm.py does not import basis_state; this catches a call if it ever does.
+        monkeypatch.setattr(
+            "quditbv.algorithm.basis_state", counting("basis_state", basis_state), raising=False
+        )
+        quantum_bv_states(LinearOracle((2, 0, 1), 3))
+        assert calls == ["apply_local_gate"]
 
     @pytest.mark.parametrize("d,n", [(2, 16), (3, 9)])
     def test_traced_peak_is_at_most_four_and_a_half_states(self, d, n, traced_peak):

@@ -245,6 +245,26 @@ class TestMainExitCodes:
             "3,3,2-1-2,1,3,true\n"
         )
 
+    @pytest.mark.parametrize(
+        "d,n,expected",
+        [
+            (16, 4, "quantum,16,4,12-1-2-3,12-1-2-3,1,1.0,3\n"
+                    "classical,16,4,12-1-2-3,12-1-2-3,4,1.0,3\n"),
+            (2, 14, "quantum,2,14,1-0-0-0-0-1-1-1-0-0-0-0-1-0,1-0-0-0-0-1-1-1-0-0-0-0-1-0,1,"
+                    "0.9999999999999951,3\n"
+                    "classical,2,14,1-0-0-0-0-1-1-1-0-0-0-0-1-0,1-0-0-0-0-1-1-1-0-0-0-0-1-0,14,"
+                    "1.0,3\n"),
+        ],
+    )
+    def test_run_csv_golden_above_gather_chunk(self, capsys, d, n, expected):
+        # Both registers are above the oracle's gather threshold, so this pins
+        # the gather oracle and the inverse layer on large registers.
+        argv = ["run", "--d", str(d), "--n", str(n), "--mode", "both", "--seed", "3"]
+        assert main(argv + ["--format", "csv"]) == 0
+        assert capsys.readouterr().out == (
+            "mode,d,n,secret,recovered,oracle_queries,peak_probability,seed\n" + expected
+        )
+
     def test_sweep_below_minimum_error_line(self, capsys):
         err = usage_error(capsys, ["sweep", "--d", "1..3", "--n", "1"])
         assert err.splitlines()[-1] == "quditbv: error: --d values must be at least 2, got 1"

@@ -16,7 +16,6 @@ from quditbv import (
     dense_operator,
     encode_digits,
     fourier_matrix,
-    kickback_state,
     run_quantum_bv,
     set_amplitude_budget,
     sum_matrix,
@@ -477,9 +476,8 @@ class TestGateBudget:
             (lambda: fourier_matrix(5), "Fourier gate"),
             (lambda: sum_matrix(3), "SUM gate"),
             (lambda: GateMatrix(np.eye(5), 5), "gate matrix"),
-            (lambda: kickback_state(5), "Fourier gate"),
         ],
-        ids=["fourier_matrix", "sum_matrix", "GateMatrix", "kickback_state"],
+        ids=["fourier_matrix", "sum_matrix", "GateMatrix"],
     )
     def test_gate_matrix_over_budget_rejected(self, build, what):
         with pytest.raises(CapacityError, match=f"{what}.*amplitudes"):
