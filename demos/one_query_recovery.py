@@ -13,6 +13,7 @@ import numpy as np
 
 from quditbv import (
     LinearOracle,
+    fourier_basis_state,
     marginal_probabilities,
     quantum_bv_states,
     random_secret,
@@ -25,12 +26,14 @@ def walkthrough(d=3, secret=(1, 2)):
     oracle = LinearOracle(secret, d)
     trace = quantum_bv_states(oracle)
     n = len(secret)
+    # The pre-query state depends on (d, n) alone; the trace does not keep it.
+    pre_query = fourier_basis_state((0,) * n + (d - 1,), d).amplitudes
 
     print("after the Fourier column every input amplitude has magnitude "
-          f"{np.abs(trace.post_fourier.amplitudes[0]):.4f} (uniform superposition)")
-    phases = np.angle(trace.post_oracle.amplitudes / trace.post_fourier.amplitudes)
+          f"{np.abs(pre_query[0]):.4f} (uniform superposition)")
+    phases = np.angle(trace.post_oracle.amplitudes / pre_query)
     print("the single oracle query only rotated phases: max magnitude change "
-          f"{np.max(np.abs(np.abs(trace.post_oracle.amplitudes) - np.abs(trace.post_fourier.amplitudes))):.2e}, "
+          f"{np.max(np.abs(np.abs(trace.post_oracle.amplitudes) - np.abs(pre_query))):.2e}, "
           f"phase range {phases.min():+.3f}..{phases.max():+.3f} rad")
     probs = marginal_probabilities(trace.final, range(1, n + 1))
     print(f"after the inverse Fourier readout, input-register probabilities: {np.round(probs, 6)}")

@@ -29,8 +29,8 @@ from .gates import _check_position, apply_local_gate, fourier_matrix, omega_powe
 from .oracle import LinearOracle
 from .state import Statevector, _Owned, decode_index, validate_digits
 
-PEAK_PROBABILITY_FLOOR = 1.0 - 1e-9
-PROBABILITY_SUM_TOL = 1e-9
+TOL_STATE = 1e-9
+PEAK_PROBABILITY_FLOOR = 1.0 - TOL_STATE
 
 
 @dataclass(frozen=True)
@@ -55,9 +55,8 @@ class RunReport:
 
 @dataclass(frozen=True)
 class QuantumTrace:
-    """Intermediate states of one quantum run, for inspection and checks."""
+    """The states the query and the inverse layer make, for inspection and checks."""
 
-    post_fourier: Statevector
     post_oracle: Statevector
     final: Statevector
 
@@ -90,17 +89,17 @@ def fourier_basis_state(s: Sequence[int], d: int) -> Statevector:
 
 
 def quantum_bv_states(oracle: LinearOracle) -> QuantumTrace:
-    """Run the quantum pipeline once and keep the intermediate states.
+    """Run the quantum pipeline once and keep the states from the query on.
 
-    Applies the oracle exactly once and one gate layer.  Raises a capacity
-    error before allocating if ``d**(n+1)`` exceeds the amplitude budget.
+    Applies the oracle exactly once and one gate layer.  The pre-query state,
+    ``fourier_basis_state((0,) * n + (d - 1,), d)``, is not kept.  Raises a
+    capacity error before allocating if ``d**(n+1)`` exceeds the amplitude budget.
     """
     d, n = oracle.d, oracle.n
     check_capacity(d ** (n + 1), "pipeline register")
-    post_fourier = fourier_basis_state((0,) * n + (d - 1,), d)
-    post_oracle = oracle.apply_quantum(post_fourier)
+    post_oracle = oracle.apply_quantum(fourier_basis_state((0,) * n + (d - 1,), d))
     final = apply_local_gate(post_oracle, fourier_matrix(d).adjoint(), *range(1, n + 1))
-    return QuantumTrace(post_fourier, post_oracle, final)
+    return QuantumTrace(post_oracle, final)
 
 
 def marginal_probabilities(state: Statevector, qudits: Sequence[int]) -> np.ndarray:
@@ -108,7 +107,7 @@ def marginal_probabilities(state: Statevector, qudits: Sequence[int]) -> np.ndar
 
     The result is indexed by the big-endian encoding of the kept digits in
     the order given.  Raises a consistency error if the state's total
-    probability strays from 1 beyond ``PROBABILITY_SUM_TOL``.
+    probability strays from 1 beyond ``TOL_STATE``.
     """
     k = state.qudit_count
     kept = [_check_position(q, k, "qudit position") for q in qudits]
@@ -118,9 +117,9 @@ def marginal_probabilities(state: Statevector, qudits: Sequence[int]) -> np.ndar
         raise DomainError(f"duplicate qudit positions in {kept}")
     probs = np.abs(state.amplitudes) ** 2
     total = float(probs.sum())
-    if abs(total - 1.0) > PROBABILITY_SUM_TOL:
+    if abs(total - 1.0) > TOL_STATE:
         raise ConsistencyError(
-            f"state probabilities sum to {total!r}, not 1 within {PROBABILITY_SUM_TOL}"
+            f"state probabilities sum to {total!r}, not 1 within {TOL_STATE}"
         )
     d = state.d
     keep_axes = [q - 1 for q in kept]

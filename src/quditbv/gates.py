@@ -31,7 +31,7 @@ from .budget import check_capacity
 from .errors import CapacityError, DomainError, check_int
 from .state import Statevector, _Owned, check_dimension
 
-UNITARITY_TOL = 1e-12
+TOL_ALGEBRA = 1e-12
 DENSE_DIM_LIMIT = 256
 # Largest side of a fused layer block: up to it the batched product stays
 # memory-bound.  Side 64 would also fuse d=8 pairs, which gained nothing: a
@@ -45,7 +45,7 @@ class GateMatrix:
     """A validated unitary acting on one or more qudits of dimension ``d``.
 
     The matrix must be square with side ``d**m`` for some ``m >= 1`` and
-    unitary to within ``UNITARITY_TOL`` per entry; construction fails
+    unitary to within ``TOL_ALGEBRA`` per entry; construction fails
     otherwise.  ``qudit_span`` holds ``m``.
     """
 
@@ -79,7 +79,7 @@ class GateMatrix:
             raise DomainError("gate entries must be finite")
         defect = entries @ entries.conj().T - np.eye(side)
         worst = float(np.max(np.abs(defect)))
-        if worst > UNITARITY_TOL:
+        if worst > TOL_ALGEBRA:
             raise DomainError(
                 f"matrix is not unitary: max |U U* - I| entry is {worst:.3e}"
             )
@@ -96,6 +96,7 @@ class GateMatrix:
 def omega_powers(d: int) -> np.ndarray:
     """The d-th roots of unity ``exp(2*pi*i*m/d)`` for ``m = 0..d-1``."""
     check_dimension(d)
+    check_capacity(d, "roots of unity")
     return np.exp(2j * np.pi * np.arange(d) / d)
 
 

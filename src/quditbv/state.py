@@ -33,6 +33,10 @@ def validate_digits(digits: Sequence[int], d: int, length: int | None = None) ->
     non-empty, and must have exactly ``length`` entries when that is given.
     """
     check_dimension(d)
+    try:
+        digits = iter(digits)
+    except TypeError:
+        raise DomainError(f"digit string must be a sequence of integers, got {digits!r}") from None
     out = []
     for v in digits:
         v = check_int(v, "digit")

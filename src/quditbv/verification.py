@@ -18,10 +18,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .algorithm import fourier_basis_state, quantum_bv_states
+from .algorithm import TOL_STATE, fourier_basis_state, quantum_bv_states
 from .errors import CapacityError, check_int
 from .gates import (
     DENSE_DIM_LIMIT,
+    TOL_ALGEBRA,
     GateMatrix,
     apply_local_gate,
     apply_sum,
@@ -38,9 +39,7 @@ from .state import (
     validate_digits,
 )
 
-TOL_ALGEBRA = 1e-12
 TOL_PIPELINE = 1e-10
-TOL_STATE = 1e-9
 
 GRAM_SIZE_LIMIT = 625
 
@@ -207,6 +206,7 @@ def gate_equivalence_check(
     d = check_dimension(d)
     k = check_int(qudit_count, "qudit_count", minimum=1)
     samples = check_int(samples, "samples", minimum=1)
+    seed = check_int(seed, "seed", minimum=0)
     dim = d**k
     if dim > DENSE_DIM_LIMIT:
         raise CapacityError(f"gate equivalence check needs dim <= {DENSE_DIM_LIMIT}, got {dim}")

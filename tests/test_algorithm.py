@@ -36,6 +36,11 @@ def forward_layer(d, n):
     return apply_local_gate(start, fourier_matrix(d), *range(1, n + 2))
 
 
+def pre_query_state(d, n):
+    """The pre-query state as the solver builds it, a product of Fourier columns."""
+    return fourier_basis_state((0,) * n + (d - 1,), d)
+
+
 class TestKickbackState:
     def test_d2_is_the_minus_state(self):
         expected = np.array([1, -1]) / np.sqrt(2)
@@ -139,8 +144,15 @@ class TestQuantumTrace:
             assert np.max(np.abs(trace.post_oracle.amplitudes - expected.amplitudes)) <= 1e-9
 
     def test_post_fourier_is_uniform_on_inputs(self):
-        trace = quantum_bv_states(LinearOracle((1, 2), 3))
-        assert np.max(np.abs(np.abs(trace.post_fourier.amplitudes) - np.sqrt(1 / 27))) <= 1e-12
+        amplitudes = pre_query_state(3, 2).amplitudes
+        assert np.max(np.abs(np.abs(amplitudes) - np.sqrt(1 / 27))) <= 1e-12
+
+    @pytest.mark.parametrize("d,n", [(3, 4), (2, 10), (16, 2)])
+    def test_post_oracle_is_the_query_of_the_pre_query_state(self, d, n):
+        secret = random_secret(d, n, np.random.default_rng(d + n))
+        trace = quantum_bv_states(LinearOracle(secret, d))
+        expected = LinearOracle(secret, d).apply_quantum(pre_query_state(d, n))
+        assert np.array_equal(trace.post_oracle.amplitudes, expected.amplitudes)
 
     def test_final_state_is_secret_tensor_ancilla(self):
         secret, d = (2, 1), 3
@@ -150,14 +162,12 @@ class TestQuantumTrace:
 
     @pytest.mark.parametrize("d,n", [(16, 3), (64, 2), (2, 16)])
     def test_post_fourier_is_bit_identical_to_the_forward_layer(self, d, n):
-        trace = quantum_bv_states(LinearOracle((1,) * n, d))
-        assert np.array_equal(trace.post_fourier.amplitudes, forward_layer(d, n).amplitudes)
+        assert np.array_equal(pre_query_state(d, n).amplitudes, forward_layer(d, n).amplitudes)
 
     @pytest.mark.parametrize("d,n", [(2, 12), (3, 9), (5, 4)])
     def test_post_fourier_matches_the_forward_layer(self, d, n):
         # Here the column product rounds differently from the fused gate blocks.
-        trace = quantum_bv_states(LinearOracle((1,) * n, d))
-        error = np.abs(trace.post_fourier.amplitudes - forward_layer(d, n).amplitudes)
+        error = np.abs(pre_query_state(d, n).amplitudes - forward_layer(d, n).amplitudes)
         assert np.max(error) <= TOL_ALGEBRA
 
     def test_one_gate_layer_and_no_basis_state_per_solve(self, monkeypatch):
@@ -181,11 +191,14 @@ class TestQuantumTrace:
         assert calls == ["apply_local_gate"]
 
     @pytest.mark.parametrize("d,n", [(2, 16), (3, 9)])
-    def test_traced_peak_is_at_most_four_and_a_half_states(self, d, n, traced_peak):
-        # The inverse layer's two buffers sit beside post_fourier and post_oracle.
+    @pytest.mark.parametrize("solve", [quantum_bv_states, run_quantum_bv], ids=lambda f: f.__name__)
+    def test_traced_peak_is_at_most_three_and_a_half_states(self, solve, d, n, traced_peak):
+        # The inverse layer's two buffers sit beside post_oracle, and the
+        # readout's |psi|^2 temporaries beside post_oracle and final: about 3x
+        # either way.  The pre-query state is freed when the query returns.
         oracle = LinearOracle(random_secret(d, n, np.random.default_rng(d * n)), d)
-        trace, peak = traced_peak(quantum_bv_states, oracle)
-        assert peak <= 4.5 * trace.final.amplitudes.nbytes
+        _, peak = traced_peak(solve, oracle)
+        assert peak <= 3.5 * d ** (n + 1) * np.dtype(np.complex128).itemsize
 
 
 class TestForwardKernelVariant:

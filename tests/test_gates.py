@@ -16,6 +16,7 @@ from quditbv import (
     dense_operator,
     encode_digits,
     fourier_matrix,
+    omega_powers,
     run_quantum_bv,
     set_amplitude_budget,
     sum_matrix,
@@ -476,8 +477,9 @@ class TestGateBudget:
             (lambda: fourier_matrix(5), "Fourier gate"),
             (lambda: sum_matrix(3), "SUM gate"),
             (lambda: GateMatrix(np.eye(5), 5), "gate matrix"),
+            (lambda: omega_powers(17), "roots of unity"),
         ],
-        ids=["fourier_matrix", "sum_matrix", "GateMatrix"],
+        ids=["fourier_matrix", "sum_matrix", "GateMatrix", "omega_powers"],
     )
     def test_gate_matrix_over_budget_rejected(self, build, what):
         with pytest.raises(CapacityError, match=f"{what}.*amplitudes"):

@@ -209,6 +209,11 @@ class TestGateEquivalence:
         with pytest.raises(DomainError, match="samples"):
             gate_equivalence_check(2, 1, samples=samples)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, True])
+    def test_bad_seed_rejected(self, seed):
+        with pytest.raises(DomainError, match="seed"):
+            gate_equivalence_check(2, 1, samples=1, seed=seed)
+
 
 class TestRunAllChecks:
     def test_every_row_passes(self):
