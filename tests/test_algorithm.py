@@ -191,6 +191,13 @@ class TestQuantumTrace:
         assert calls == ["apply_local_gate"]
 
     @pytest.mark.parametrize("d,n", [(2, 16), (3, 9)])
+    def test_traced_peak_is_at_most_four_and_a_half_states(self, d, n, traced_peak):
+        # The solve's original memory budget, measured against the final state.
+        oracle = LinearOracle(random_secret(d, n, np.random.default_rng(d * n)), d)
+        trace, peak = traced_peak(quantum_bv_states, oracle)
+        assert peak <= 4.5 * trace.final.amplitudes.nbytes
+
+    @pytest.mark.parametrize("d,n", [(2, 16), (3, 9)])
     @pytest.mark.parametrize("solve", [quantum_bv_states, run_quantum_bv], ids=lambda f: f.__name__)
     def test_traced_peak_is_at_most_three_and_a_half_states(self, solve, d, n, traced_peak):
         # The inverse layer's two buffers sit beside post_oracle, and the
