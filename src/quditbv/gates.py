@@ -9,9 +9,8 @@ Two independent execution routes are provided on purpose:
 * :func:`apply_local_gate` and :func:`apply_sum` act on the strided
   amplitude array without ever forming the full operator: a layer of
   single-qudit gates is batched matrix products through two scratch buffers,
-  one per block of adjacent qudits, and SUM powers are one modular-add pass
-  each, :func:`_sum_power`, which the oracle also runs on small registers.
-  The state they return adopts the last buffer without a copy.
+  one per block of adjacent qudits, and SUM is two slice copies per control
+  digit.  The state they return adopts the last buffer without a copy.
 * :func:`dense_operator` builds the full ``d**k x d**k`` matrix for a gate
   sequence, for cross-checking the strided route on small registers.  Every
   gate, whatever its span, is lifted the same way: a Kronecker product with
@@ -211,32 +210,13 @@ def apply_local_gate(state: Statevector, gate: GateMatrix, pos: int, *more: int)
     return Statevector(_Owned(amps), d, k)
 
 
-def _sum_power(cube: np.ndarray, out: np.ndarray, control_ax: int, target_ax: int, m: int) -> None:
-    """Write SUM**m of a raw ``(d,)*k`` amplitude array into ``out``.
-
-    Target digit ``j`` under control digit ``i`` moves to ``(j + m*i) mod d``.
-    Each control slice is rotated along the target axis by two slice copies,
-    so every output amplitude is written exactly once and no index array is
-    formed.  ``out`` must not overlap ``cube``.
-    """
-    d = cube.shape[control_ax]
-    src: list[slice | int] = [slice(None)] * cube.ndim
-    dst: list[slice | int] = [slice(None)] * cube.ndim
-    for i in range(d):
-        src[control_ax] = dst[control_ax] = i
-        shift = (m * i) % d
-        src[target_ax], dst[target_ax] = slice(0, d - shift), slice(shift, d)
-        out[tuple(dst)] = cube[tuple(src)]
-        src[target_ax], dst[target_ax] = slice(d - shift, d), slice(0, shift)
-        out[tuple(dst)] = cube[tuple(src)]
-
-
 def apply_sum(state: Statevector, control: int, target: int) -> Statevector:
     """Apply SUM with the given control and target positions (1-based).
 
     Maps |..i..j..> to |..i..(i+j) mod d..> where i sits at ``control`` and j
-    at ``target``.  Implemented as a pure index permutation by
-    :func:`_sum_power`; no matrix is ever formed.
+    at ``target``.  A pure permutation of amplitudes: each control slice is
+    rotated along the target axis by two slice copies, so every output
+    amplitude is written exactly once, and no matrix or index array is formed.
     """
     k = state.qudit_count
     control = _check_position(control, k, "control")
@@ -245,9 +225,17 @@ def apply_sum(state: Statevector, control: int, target: int) -> Statevector:
         raise DomainError("control and target must be distinct")
     d = state.d
     cube = state.amplitudes.reshape((d,) * k)
-    out = np.empty_like(state.amplitudes)
-    _sum_power(cube, out.reshape(cube.shape), control - 1, target - 1, 1)
-    return Statevector(_Owned(out), d, k)
+    out = np.empty_like(cube)
+    c, t = control - 1, target - 1
+    src: list[slice | int] = [slice(None)] * k
+    dst: list[slice | int] = [slice(None)] * k
+    for i in range(d):  # under control digit i, target digit j moves to (j + i) mod d
+        src[c] = dst[c] = i
+        src[t], dst[t] = slice(0, d - i), slice(i, d)
+        out[tuple(dst)] = cube[tuple(src)]
+        src[t], dst[t] = slice(d - i, d), slice(0, i)
+        out[tuple(dst)] = cube[tuple(src)]
+    return Statevector(_Owned(out.reshape(-1)), d, k)
 
 
 def _lift(entries: np.ndarray, positions: Sequence[int], d: int, k: int) -> np.ndarray:

@@ -9,10 +9,9 @@ exposes the function ``f(x) = (s . x) mod d`` in two forms:
   the paper's product of ``SUM**s_i`` gates from input qudit ``i`` to the
   target.  They all act on the target, so they commute, and their product
   is one modular add: the target row of each input ``x`` is rotated by
-  ``f(x)``.  The query runs it as one gather into one output buffer (small
-  registers run the ``SUM**s_i`` slice passes of
-  :func:`~quditbv.gates._sum_power` instead), and equals the chain of
-  :func:`~quditbv.gates.apply_sum` calls exactly.
+  ``f(x)``.  The query runs it as one gather into one output buffer, and
+  equals the chain of :func:`~quditbv.gates.apply_sum` calls exactly, which
+  shares no code with it.
 
 Each call counts as exactly one query, no matter how large a superposition a
 quantum call touches.  Solvers must recover ``s`` through queries alone; the
@@ -29,14 +28,10 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError, check_int
-from .gates import _sum_power
 from .state import Statevector, _Owned, check_dimension, validate_digits
 
 # Amplitudes gathered per step of a quantum query, so the step's flat index
-# array holds 128 KiB whatever the register size.  A register of at most one
-# step runs the SUM**s_i slice passes instead, whose few calls cost less there
-# than the gather's set-up: about 27 us per call against 3-30 us for the passes
-# on a few hundred amplitudes (cache-cold round-robin timing, 2 vCPUs).
+# array holds 128 KiB whatever the register size.
 _GATHER_CHUNK = 1 << 14
 
 
@@ -77,12 +72,10 @@ class LinearOracle:
         The state must hold ``n + 1`` qudits of dimension ``d``: the input
         register in positions 1..n and the target qudit at position n+1.
         The action is a pure permutation of amplitudes, equal to ``SUM**s_i``
-        from each input qudit ``i`` to the target.  A register of more than
-        ``_GATHER_CHUNK`` amplitudes is permuted in one gather: ``f`` is
-        computed once over the ``d**n`` inputs, and each output amplitude is
-        read once, a block of inputs at a time, from the target row of its
-        input rotated by ``f(x)``.  A smaller register runs the ``SUM**s_i``
-        slice passes, whose few calls cost less there.
+        from each input qudit ``i`` to the target.  It runs as one gather:
+        ``f`` is computed once over the ``d**n`` inputs, and each output
+        amplitude is read once, a block of inputs at a time, from the target
+        row of its input rotated by ``f(x)``.
         """
         d, n = self._d, self._n
         if state.d != d:
@@ -91,28 +84,9 @@ class LinearOracle:
             raise DomainError(
                 f"oracle acts on {n + 1} qudits, got a state of {state.qudit_count}"
             )
-        if state.size <= _GATHER_CHUNK:
-            out = _sum_passes(state.amplitudes, self.__secret, d)
-        else:
-            out = _gather_rotated(state.amplitudes, self.__secret, d)
+        out = _gather_rotated(state.amplitudes, self.__secret, d)
         self._query_count += 1
         return Statevector(_Owned(out), d, n + 1)
-
-
-def _sum_passes(amps: np.ndarray, secret: tuple[int, ...], d: int) -> np.ndarray:
-    """The ``SUM**s_i`` gates as one slice pass each, through two scratch arrays.
-
-    On a register of one gather block or less this makes fewer numpy calls
-    than :func:`_gather_rotated`'s set-up.
-    """
-    n = len(secret)
-    cube, spare = amps.reshape((d,) * (n + 1)), None
-    for axis, s in enumerate(secret):
-        if s:
-            out = np.empty_like(cube) if spare is None else spare
-            _sum_power(cube, out, axis, n, s)
-            spare, cube = (cube if cube.flags.writeable else None), out
-    return cube.reshape(-1) if cube.flags.writeable else amps.copy()
 
 
 def _gather_rotated(amps: np.ndarray, secret: tuple[int, ...], d: int) -> np.ndarray:

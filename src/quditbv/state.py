@@ -11,6 +11,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+from collections.abc import Mapping, Set
 from dataclasses import dataclass
 from itertools import product
 from typing import Iterator, Sequence
@@ -31,8 +32,11 @@ def validate_digits(digits: Sequence[int], d: int, length: int | None = None) ->
 
     Every entry must be an integer in ``[0, d)``.  The string must be
     non-empty, and must have exactly ``length`` entries when that is given.
+    Sets and mappings are rejected: their iteration order is not a digit order.
     """
     check_dimension(d)
+    if isinstance(digits, (Set, Mapping)):
+        raise DomainError(f"digit string must be an ordered sequence, got {type(digits).__name__}")
     try:
         digits = iter(digits)
     except TypeError:

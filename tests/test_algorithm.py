@@ -119,6 +119,11 @@ class TestFourierBasisState:
         finally:
             set_amplitude_budget(None)
 
+    @pytest.mark.parametrize("label", [frozenset({1}), {0: 1}])
+    def test_unordered_label_rejected(self, label):
+        with pytest.raises(DomainError):
+            fourier_basis_state(label, 3)
+
     def test_distinct_labels_are_orthogonal(self):
         a = fourier_basis_state((1, 0), 3)
         b = fourier_basis_state((1, 2), 3)

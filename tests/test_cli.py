@@ -257,8 +257,8 @@ class TestMainExitCodes:
         ],
     )
     def test_run_csv_golden_above_gather_chunk(self, capsys, d, n, expected):
-        # Both registers are above the oracle's gather threshold, so this pins
-        # the gather oracle and the inverse layer on large registers.
+        # Both registers span several of the oracle's gather blocks, so this
+        # pins the gather across blocks and the inverse layer on large registers.
         argv = ["run", "--d", str(d), "--n", str(n), "--mode", "both", "--seed", "3"]
         assert main(argv + ["--format", "csv"]) == 0
         assert capsys.readouterr().out == (

@@ -13,7 +13,7 @@ from quditbv import (
     decode_index,
     random_secret,
 )
-from quditbv.oracle import _GATHER_CHUNK, _gather_rotated, _sum_passes
+from quditbv.oracle import _GATHER_CHUNK
 
 
 def random_state(d, k, rng):
@@ -30,7 +30,7 @@ def small_instances(draw):
     return d, n, secret
 
 
-# The 157 shapes just above one gather block, where the two routes can be compared.
+# The 157 shapes just above one gather block, whose inputs span two to four blocks.
 GATHER_SHAPES = [
     (d, n) for d in range(2, 257) for n in range(1, 16) if _GATHER_CHUNK < d ** (n + 1) <= 2**16
 ]
@@ -56,6 +56,12 @@ class TestEvalClassical:
     def test_digit_out_of_range_rejected(self):
         with pytest.raises(DomainError):
             LinearOracle((1, 2), 3).eval_classical((1, 3))
+
+    @pytest.mark.parametrize("secret", [{2, 0}, frozenset({1}), {0: 2}])
+    def test_unordered_secret_rejected(self, secret):
+        # A set or mapping has no digit order; {2, 0} would be read as (0, 2).
+        with pytest.raises(DomainError):
+            LinearOracle(secret, 3)
 
 
 class TestApplyQuantum:
@@ -119,11 +125,22 @@ class TestApplyQuantum:
                         expected = apply_sum(expected, pos, n + 1)
                 out = LinearOracle(secret, d).apply_quantum(state)
                 assert np.array_equal(out.amplitudes, expected.amplitudes), (d, secret)
+        # Every secret of the smallest register; and at n = 1, d = 128 fills
+        # one gather block exactly while d = 129 spills into a second.  They
+        # are also the last and first d whose f is uint8 and uint16.
+        for d in (2, 128, 129):
+            state = random_state(d, 2, rng)
+            for secret in ((int(rng.integers(d)),), (0,), (1,), (d - 1,)):
+                expected = state
+                for _ in range(secret[0]):
+                    expected = apply_sum(expected, 1, 2)
+                out = LinearOracle(secret, d).apply_quantum(state)
+                assert np.array_equal(out.amplitudes, expected.amplitudes), (d, secret)
 
     @pytest.mark.parametrize("d,n", [(2, 14), (3, 9), (7, 5)])
     def test_equals_chain_of_sum_gates_across_gather_blocks(self, d, n):
-        # Registers above one gather block take the gather route; their inputs
-        # span several blocks, and at d = 3 and 7 the last block is partial.
+        # Registers above one gather block: their inputs span several
+        # blocks, and at d = 3 and 7 the last block is partial.
         # The all-zero and all-(d-1) secrets read the boundary rows d and 1
         # of the rotation windows.
         assert d ** (n + 1) > _GATHER_CHUNK
@@ -162,12 +179,19 @@ class TestApplyQuantum:
 
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())
-    def test_property_gather_equals_slice_passes(self, data):
+    def test_property_equals_scatter_reference(self, data):
+        # The query as its definition, out[x, (y + f(x)) % d] = in[x, y]: a
+        # scatter, where the oracle gathers.
         d, n = data.draw(st.sampled_from(GATHER_SHAPES), label="shape")
         secret = tuple(data.draw(st.lists(st.integers(0, d - 1), min_size=n, max_size=n), label="s"))
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
-        amps = random_state(d, n + 1, rng).amplitudes
-        assert np.array_equal(_gather_rotated(amps, secret, d), _sum_passes(amps, secret, d))
+        state = random_state(d, n + 1, rng)
+        f = np.array(list(all_digit_strings(d, n))) @ np.array(secret) % d
+        rows = state.amplitudes.reshape(d**n, d)
+        expected = np.empty_like(rows)
+        expected[np.arange(d**n)[:, None], (np.arange(d) + f[:, None]) % d] = rows
+        out = LinearOracle(secret, d).apply_quantum(state)
+        assert np.array_equal(out.amplitudes, expected.reshape(-1))
 
     def test_register_size_mismatch_rejected(self):
         oracle = LinearOracle((1, 2), 3)

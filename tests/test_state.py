@@ -58,7 +58,7 @@ class TestEncodeDecode:
         for i, digits in enumerate(all_digit_strings(3, 3)):
             assert encode_digits(digits, 3) == i
 
-    @pytest.mark.parametrize("bad", [(2,), (-1,), (0, 2), None])
+    @pytest.mark.parametrize("bad", [(2,), (-1,), (0, 2), None, {1: "a", 0: "b"}, {0, 1}])
     def test_encode_rejects_out_of_range_digits(self, bad):
         with pytest.raises(DomainError):
             encode_digits(bad, 2)
