@@ -26,14 +26,18 @@ def walkthrough(d=3, secret=(1, 2)):
     oracle = LinearOracle(secret, d)
     trace = quantum_bv_states(oracle)
     n = len(secret)
-    # The pre-query state depends on (d, n) alone; the trace does not keep it.
-    pre_query = fourier_basis_state((0,) * n + (d - 1,), d).amplitudes
+    # The trace keeps the final state alone, so the states before it are
+    # rebuilt here: the pre-query state depends on (d, n) alone, and the query
+    # is repeated on a second oracle, leaving the solver's count at one.
+    pre_query = fourier_basis_state((0,) * n + (d - 1,), d)
+    post_oracle = LinearOracle(secret, d).apply_quantum(pre_query)
+    before, after = pre_query.amplitudes, post_oracle.amplitudes
 
     print("after the Fourier column every input amplitude has magnitude "
-          f"{np.abs(pre_query[0]):.4f} (uniform superposition)")
-    phases = np.angle(trace.post_oracle.amplitudes / pre_query)
+          f"{np.abs(before[0]):.4f} (uniform superposition)")
+    phases = np.angle(after / before)
     print("the single oracle query only rotated phases: max magnitude change "
-          f"{np.max(np.abs(np.abs(trace.post_oracle.amplitudes) - np.abs(pre_query))):.2e}, "
+          f"{np.max(np.abs(np.abs(after) - np.abs(before))):.2e}, "
           f"phase range {phases.min():+.3f}..{phases.max():+.3f} rad")
     probs = marginal_probabilities(trace.final, range(1, n + 1))
     print(f"after the inverse Fourier readout, input-register probabilities: {np.round(probs, 6)}")

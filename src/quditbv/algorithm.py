@@ -55,9 +55,13 @@ class RunReport:
 
 @dataclass(frozen=True)
 class QuantumTrace:
-    """The states the query and the inverse layer make, for inspection and checks."""
+    """The state the pipeline ends in, for inspection and checks.
 
-    post_oracle: Statevector
+    Only ``final`` is kept, so the query's output is freed once the inverse
+    layer returns.  The state after the query is
+    ``oracle.apply_quantum(fourier_basis_state((0,) * n + (d - 1,), d))``.
+    """
+
     final: Statevector
 
 
@@ -89,17 +93,20 @@ def fourier_basis_state(s: Sequence[int], d: int) -> Statevector:
 
 
 def quantum_bv_states(oracle: LinearOracle) -> QuantumTrace:
-    """Run the quantum pipeline once and keep the states from the query on.
+    """Run the quantum pipeline once and keep the state it ends in.
 
-    Applies the oracle exactly once and one gate layer.  The pre-query state,
-    ``fourier_basis_state((0,) * n + (d - 1,), d)``, is not kept.  Raises a
-    capacity error before allocating if ``d**(n+1)`` exceeds the amplitude budget.
+    Applies the oracle exactly once and one gate layer.  At most two registers
+    are alive at once: the pre-query state and the query's output during the
+    query, then the query's output and the layer's (with one scratch block of
+    :func:`apply_local_gate`) during the layer.  The trace keeps the layer's
+    output alone.  Raises a capacity error before allocating if ``d**(n+1)``
+    exceeds the amplitude budget.
     """
     d, n = oracle.d, oracle.n
     check_capacity(d ** (n + 1), "pipeline register")
     post_oracle = oracle.apply_quantum(fourier_basis_state((0,) * n + (d - 1,), d))
     final = apply_local_gate(post_oracle, fourier_matrix(d).adjoint(), *range(1, n + 1))
-    return QuantumTrace(post_oracle, final)
+    return QuantumTrace(final)
 
 
 def marginal_probabilities(state: Statevector, qudits: Sequence[int]) -> np.ndarray:
@@ -109,8 +116,13 @@ def marginal_probabilities(state: Statevector, qudits: Sequence[int]) -> np.ndar
     the order given.  Raises a consistency error if the state's total
     probability strays from 1 beyond ``TOL_STATE``.
     """
+    if not isinstance(state, Statevector):
+        raise DomainError(f"state must be a Statevector, got {type(state).__name__}")
     k = state.qudit_count
-    kept = [_check_position(q, k, "qudit position") for q in qudits]
+    try:
+        kept = [_check_position(q, k, "qudit position") for q in qudits]
+    except TypeError:
+        raise DomainError(f"qudit positions must be a sequence of integers, got {qudits!r}") from None
     if not kept:
         raise DomainError("at least one qudit must be kept")
     if len(set(kept)) != len(kept):

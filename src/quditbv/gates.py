@@ -8,9 +8,11 @@ Two independent execution routes are provided on purpose:
 
 * :func:`apply_local_gate` and :func:`apply_sum` act on the strided
   amplitude array without ever forming the full operator: a layer of
-  single-qudit gates is batched matrix products through two scratch buffers,
-  one per block of adjacent qudits, and SUM is two slice copies per control
-  digit.  The state they return adopts the last buffer without a copy.
+  single-qudit gates is batched matrix products, one per block of adjacent
+  qudits, into one output register that later products rewrite in place
+  through a scratch block of at most ``_BLOCK`` amplitudes, and SUM is two
+  slice copies per control digit.  The state they return adopts the output
+  register without a copy.
 * :func:`dense_operator` builds the full ``d**k x d**k`` matrix for a gate
   sequence, for cross-checking the strided route on small registers.  Every
   gate, whatever its span, is lifted the same way: a Kronecker product with
@@ -37,6 +39,16 @@ DENSE_DIM_LIMIT = 256
 # d=8 layer of 2**24 amplitudes took 0.93-1.02 s fused against 0.87-1.10 s
 # unfused (2 vCPUs, OpenBLAS, best of 3).
 FUSED_SIDE_LIMIT = 32
+# Amplitudes in the scratch block through which a layer rewrites its output
+# in place: 1 MiB, so a row block stays in cache across its passes.  Blocks of
+# 2**15 to 2**18 ran the inverse layer of a 2**24-amplitude solve within noise
+# of each other; 2**14 was 13% slower at d=2, n=22 and 19% at d=256, n=2 (2 vCPUs,
+# 2 MiB L2 per core, best of 3).
+_BLOCK = 1 << 16
+# Column chunks of an in-place pass start at multiples of this.  BLAS tiles
+# the columns of a product from the first one (by 4 in OpenBLAS's Haswell
+# kernel), and a chunk that starts inside a tile rounds differently.
+_ALIGN = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -189,25 +201,106 @@ def apply_local_gate(state: Statevector, gate: GateMatrix, pos: int, *more: int)
     is a layer: when ``d*d <= FUSED_SIDE_LIMIT`` and the register holds at
     least ``d**4`` amplitudes, each block of adjacent positions is one product
     of ``G (x) ... (x) G`` (see :func:`_layer_passes`), which equals the chain
-    to rounding (``TOL_ALGEBRA``).  Passes alternate between two scratch
-    buffers, and the returned :class:`Statevector` adopts the last one.
+    to rounding (``TOL_ALGEBRA``).
+
+    The call allocates one output register, which the returned
+    :class:`Statevector` adopts.  The first pass reads the caller's array and
+    writes it; every later pass rewrites it in place through a scratch block of
+    at most ``_BLOCK`` amplitudes (see :func:`_run_passes`).  Each amplitude
+    takes the same products as with whole-register passes, bit for bit.
     """
+    if not isinstance(state, Statevector):
+        raise DomainError(f"state must be a Statevector, got {type(state).__name__}")
+    if not isinstance(gate, GateMatrix):
+        raise DomainError(f"gate must be a GateMatrix, got {type(gate).__name__}")
     if gate.d != state.d:
         raise DomainError(f"gate dimension {gate.d} does not match state dimension {state.d}")
     if gate.qudit_span != 1:
         raise DomainError(f"apply_local_gate needs a single-qudit gate, got span {gate.qudit_span}")
     d, k = state.d, state.qudit_count
     positions = [_check_position(p, k) for p in (pos, *more)]
-    amps, spare = state.amplitudes, None
-    for entries, right in _layer_passes(gate.entries, positions, d, k):
-        side = entries.shape[0]
-        out = np.empty_like(amps) if spare is None else spare
-        if right == 1:  # one large product beats a batch of side x 1 columns
-            np.matmul(amps.reshape(-1, side), entries.T, out=out.reshape(-1, side))
+    passes = _layer_passes(gate.entries, positions, d, k)
+    out = np.empty_like(state.amplitudes)
+    _run_passes(passes, state.amplitudes, out)
+    return Statevector(_Owned(out), d, k)
+
+
+def _pass(entries: np.ndarray, right: int, src: np.ndarray, dst: np.ndarray) -> None:
+    """One batched product of ``entries`` over the ``(left, side, right)`` view, ``src`` into ``dst``."""
+    side = entries.shape[0]
+    if right == 1:  # one large product beats a batch of side x 1 columns
+        np.matmul(src.reshape(-1, side), entries.T, out=dst.reshape(-1, side))
+    else:
+        np.matmul(entries, src.reshape(-1, side, right), out=dst.reshape(-1, side, right))
+
+
+def _run_passes(passes: list[tuple[np.ndarray, int]], src: np.ndarray, out: np.ndarray) -> None:
+    """Apply ``passes`` in order to ``src``, leaving the result in ``out``.
+
+    A run of consecutive passes whose rows ``side*right`` fit in ``_BLOCK``
+    goes one row block at a time.  A longer pass goes alone: from ``src`` to
+    ``out`` as one product when it is the first, in place by column chunks
+    otherwise.  Only the first pass reads ``src``.
+    """
+    rows = [entries.shape[0] * right for entries, right in passes]
+    scratch = None  # a single pass goes straight from src to out
+    if len(passes) > 1:
+        # A chunk of _ALIGN + 1 columns of a gate wider than _BLOCK / 65 (so
+        # more than 2**20 entries) is the one thing that outgrows a block.
+        widest = (_ALIGN + 1) * max(entries.shape[0] for entries, _ in passes)
+        scratch = np.empty(min(max(_BLOCK, widest), out.size), out.dtype)
+    i = 0
+    while i < len(passes):
+        j = i + 1
+        if rows[i] <= _BLOCK:
+            while j < len(passes) and rows[j] <= _BLOCK:
+                j += 1
+            _run_row_blocks(passes[i:j], max(rows[i:j]), src, out, scratch)
+        elif src is not out:
+            _pass(*passes[i], src, out)
         else:
-            np.matmul(entries, amps.reshape(-1, side, right), out=out.reshape(-1, side, right))
-        spare, amps = (amps if amps.flags.writeable else None), out  # not the caller's array
-    return Statevector(_Owned(amps), d, k)
+            _run_column_chunks(*passes[i], out, scratch)
+        src, i = out, j
+
+
+def _run_row_blocks(
+    run: list[tuple[np.ndarray, int]], row: int, src: np.ndarray, out: np.ndarray,
+    scratch: np.ndarray | None,
+) -> None:
+    """Apply ``run`` to ``src`` into ``out`` one block of whole rows at a time.
+
+    Every pass takes the block while it is in cache, alternating between the
+    block of ``out`` and the scratch block.  The first buffer is picked by the
+    parity of the run so that the last pass lands in ``out``: a register of
+    one block makes the whole-register products with no copy back.  In place,
+    an odd run ends with one.
+    """
+    step = _BLOCK // row * row
+    for lo in range(0, out.size, step):
+        dst = out[lo : lo + step]
+        spare = None if scratch is None else scratch[: dst.size]
+        x, y = src[lo : lo + step], (spare if src is out or len(run) % 2 == 0 else dst)
+        for entries, right in run:
+            _pass(entries, right, x, y)
+            x, y = y, (dst if y is spare else spare)
+        if x is not dst:
+            dst[...] = x
+
+
+def _run_column_chunks(entries: np.ndarray, right: int, out: np.ndarray, scratch: np.ndarray) -> None:
+    """Rewrite ``out`` by one pass, in place, a chunk of columns of each ``(side, right)`` plane at a time."""
+    side = entries.shape[0]
+    # Chunks are a multiple of _ALIGN wide, with room for one more column: a
+    # last chunk of one column would take numpy's matrix-vector route, which
+    # rounds differently, so the chunk before takes that column too.
+    cols = max(_ALIGN, (_BLOCK // side - 1) // _ALIGN * _ALIGN)
+    edges = [*range(0, right - 1, cols), right]
+    for plane in out.reshape(-1, side, right):
+        for lo, hi in zip(edges, edges[1:]):
+            chunk = plane[:, lo:hi]
+            temp = scratch[: chunk.size].reshape(side, -1)
+            np.matmul(entries, chunk, out=temp)
+            chunk[...] = temp
 
 
 def apply_sum(state: Statevector, control: int, target: int) -> Statevector:

@@ -91,13 +91,14 @@ class LinearOracle:
 
 def _gather_rotated(amps: np.ndarray, secret: tuple[int, ...], d: int) -> np.ndarray:
     """All ``SUM**s_i`` gates as one gather: target row ``x`` rotated by ``f(x)``."""
-    # f(x) = (s . x) mod d over the big-endian input index, one appended
-    # digit at a time; its dtype holds the unreduced sum, at most 2(d-1).
+    # f(x) = (s . x) mod d over the big-endian input index, one leading digit
+    # at a time from the last up, so each add runs a long inner loop over f;
+    # its dtype holds the unreduced sum, at most 2(d-1).
     dtype = np.min_scalar_type(2 * (d - 1))
     steps = (np.multiply.outer(secret, np.arange(d)) % d).astype(dtype)
-    f = steps[0]
-    for step in steps[1:]:
-        f = (f[:, None] + step).reshape(-1)
+    f = steps[-1]
+    for step in steps[-2::-1]:
+        f = (step[:, None] + f).reshape(-1)
         f %= d
     # Target digit j of input x is read from digit (j - f(x)) mod d.  Row k
     # of ``windows`` holds (j + k) mod d for j = 0..d-1, as an overlapping

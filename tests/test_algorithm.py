@@ -144,9 +144,9 @@ class TestQuantumTrace:
         rng = np.random.default_rng(d * 37 + n)
         for _ in range(3):
             secret = random_secret(d, n, rng)
-            trace = quantum_bv_states(LinearOracle(secret, d))
+            post_oracle = LinearOracle(secret, d).apply_quantum(pre_query_state(d, n))
             expected = tensor(fourier_basis_state(secret, d), kickback_state(d))
-            assert np.max(np.abs(trace.post_oracle.amplitudes - expected.amplitudes)) <= 1e-9
+            assert np.max(np.abs(post_oracle.amplitudes - expected.amplitudes)) <= 1e-9
 
     def test_post_fourier_is_uniform_on_inputs(self):
         amplitudes = pre_query_state(3, 2).amplitudes
@@ -154,10 +154,12 @@ class TestQuantumTrace:
 
     @pytest.mark.parametrize("d,n", [(3, 4), (2, 10), (16, 2)])
     def test_post_oracle_is_the_query_of_the_pre_query_state(self, d, n):
+        # The final state is the inverse layer on the query of the pre-query state.
         secret = random_secret(d, n, np.random.default_rng(d + n))
         trace = quantum_bv_states(LinearOracle(secret, d))
-        expected = LinearOracle(secret, d).apply_quantum(pre_query_state(d, n))
-        assert np.array_equal(trace.post_oracle.amplitudes, expected.amplitudes)
+        post_oracle = LinearOracle(secret, d).apply_quantum(pre_query_state(d, n))
+        expected = apply_local_gate(post_oracle, fourier_matrix(d).adjoint(), *range(1, n + 1))
+        assert np.array_equal(trace.final.amplitudes, expected.amplitudes)
 
     def test_final_state_is_secret_tensor_ancilla(self):
         secret, d = (2, 1), 3
@@ -205,12 +207,21 @@ class TestQuantumTrace:
     @pytest.mark.parametrize("d,n", [(2, 16), (3, 9)])
     @pytest.mark.parametrize("solve", [quantum_bv_states, run_quantum_bv], ids=lambda f: f.__name__)
     def test_traced_peak_is_at_most_three_and_a_half_states(self, solve, d, n, traced_peak):
-        # The inverse layer's two buffers sit beside post_oracle, and the
-        # readout's |psi|^2 temporaries beside post_oracle and final: about 3x
-        # either way.  The pre-query state is freed when the query returns.
+        # (3, 9) fits in one scratch block, so its layer still alternates
+        # between two registers beside the query's output: about 3x.
         oracle = LinearOracle(random_secret(d, n, np.random.default_rng(d * n)), d)
         _, peak = traced_peak(solve, oracle)
         assert peak <= 3.5 * d ** (n + 1) * np.dtype(np.complex128).itemsize
+
+    @pytest.mark.parametrize("d,n", [(2, 18), (16, 4)])
+    @pytest.mark.parametrize("solve", [quantum_bv_states, run_quantum_bv], ids=lambda f: f.__name__)
+    def test_traced_peak_is_at_most_two_and_a_quarter_states(self, solve, d, n, traced_peak):
+        # Two registers at a time: the pre-query state and the query's output,
+        # then that and the layer's output with its scratch block, then the
+        # final state and its |psi|^2, which is half a state.
+        oracle = LinearOracle(random_secret(d, n, np.random.default_rng(d * n)), d)
+        _, peak = traced_peak(solve, oracle)
+        assert peak <= 2.25 * d ** (n + 1) * np.dtype(np.complex128).itemsize
 
 
 class TestForwardKernelVariant:
@@ -220,8 +231,8 @@ class TestForwardKernelVariant:
         # the inverse one reads out (-s_i mod d) digitwise.
         rng = np.random.default_rng(d + n)
         secret = random_secret(d, n, rng)
-        trace = quantum_bv_states(LinearOracle(secret, d))
-        state = trace.post_oracle
+        post_oracle = LinearOracle(secret, d).apply_quantum(pre_query_state(d, n))
+        state = post_oracle
         forward = fourier_matrix(d)
         inverse = forward.adjoint()
         for pos in range(1, n + 1):
@@ -232,7 +243,7 @@ class TestForwardKernelVariant:
         assert hit == encode_digits(negated, d)
         assert probs[hit] >= 1 - 1e-9
         # And the contractual inverse kernel recovers s itself.
-        state = trace.post_oracle
+        state = post_oracle
         for pos in range(1, n + 1):
             state = apply_local_gate(state, inverse, pos)
         probs = marginal_probabilities(state, range(1, n + 1))
@@ -370,6 +381,10 @@ class TestMarginalsAndMeasurement:
 
     def test_invalid_positions_rejected(self):
         state = basis_state((0, 1), 2)
+        with pytest.raises(DomainError):
+            marginal_probabilities(state, None)
+        with pytest.raises(DomainError):
+            marginal_probabilities(state.amplitudes, (1,))
         with pytest.raises(DomainError):
             marginal_probabilities(state, (1, 1))
         with pytest.raises(DomainError):

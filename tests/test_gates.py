@@ -21,7 +21,7 @@ from quditbv import (
     set_amplitude_budget,
     sum_matrix,
 )
-from quditbv.gates import FUSED_SIDE_LIMIT, _layer_passes
+from quditbv.gates import _BLOCK, FUSED_SIDE_LIMIT, _layer_passes
 from quditbv.verification import TOL_ALGEBRA
 
 
@@ -42,6 +42,18 @@ def kron_lift(matrix, pos, d, k):
     for q in range(1, k + 1):
         out = np.kron(out, matrix if q == pos else np.eye(d))
     return out
+
+
+def whole_register_passes(state, gate, positions):
+    """The passes of ``_layer_passes``, each one ``np.matmul`` over the whole register."""
+    amps = state.amplitudes
+    for entries, right in _layer_passes(gate.entries, positions, state.d, state.qudit_count):
+        side = entries.shape[0]
+        if right == 1:
+            amps = np.matmul(amps.reshape(-1, side), entries.T).reshape(-1)
+        else:
+            amps = np.matmul(entries, amps.reshape(-1, side, right)).reshape(-1)
+    return amps
 
 
 def enumerated_lift(matrix, positions, d, k):
@@ -190,6 +202,10 @@ class TestApplyLocalGate:
     def test_dimension_mismatch(self):
         with pytest.raises(DomainError):
             apply_local_gate(basis_state((0, 0), 2), fourier_matrix(3), 1)
+        with pytest.raises(DomainError):
+            apply_local_gate(basis_state((0, 0), 3), np.eye(3), 1)
+        with pytest.raises(DomainError):
+            apply_local_gate(np.eye(9)[0], fourier_matrix(3), 1)
 
     def test_multi_position_call_equals_chain_of_single_calls(self):
         rng = np.random.default_rng(31)
@@ -234,6 +250,49 @@ class TestApplyLocalGate:
             apply_local_gate(state, fourier_matrix(2), 1, bad)
         with pytest.raises(DomainError):
             apply_local_gate(state, fourier_matrix(2), 1, 2, bad, 1)
+
+    @pytest.mark.parametrize(
+        "d,k,positions",
+        [
+            (16, 5, [1, 2, 3, 4]),
+            (16, 5, [4, 3, 2, 1]),
+            (2, 19, list(range(1, 19))),
+            (3, 13, list(range(1, 13))),
+            (3, 10, list(range(1, 10))),
+            (16, 5, [1, 3, 1, 5, 2, 1]),
+        ],
+        ids=[
+            "wide then narrow",
+            "narrow then wide",
+            "fused, right == 1 first",
+            "chunks of uneven width",
+            "one block",
+            "repeated positions",
+        ],
+    )
+    def test_layer_is_bit_identical_to_whole_register_passes(self, d, k, positions):
+        state = random_state(d, k, np.random.default_rng(d + k))
+        gate = fourier_matrix(d).adjoint()
+        expected = whole_register_passes(state, gate, positions)
+        assert np.array_equal(apply_local_gate(state, gate, *positions).amplitudes, expected)
+
+    def test_last_column_joins_the_chunk_before(self, monkeypatch):
+        # With a block one amplitude short of 65 columns of d=65, the pass at
+        # qudit 1 runs in place by chunks of 64 columns, and 65**2 % 64 == 1:
+        # the last chunk holds 65 columns, more than the block.
+        monkeypatch.setattr("quditbv.gates._BLOCK", 65 * 65 - 1)
+        state = random_state(65, 3, np.random.default_rng(65))
+        gate = fourier_matrix(65)
+        expected = whole_register_passes(state, gate, [2, 1])
+        assert np.array_equal(apply_local_gate(state, gate, 2, 1).amplitudes, expected)
+
+    @pytest.mark.parametrize("d,k", [(2, 20), (16, 5)])
+    def test_layer_traced_peak_is_one_register_and_a_block(self, d, k, traced_peak):
+        # One output register, rewritten in place through a block of 1/16 of it.
+        state = random_state(d, k, np.random.default_rng(d * k))
+        assert state.size >= 4 * _BLOCK
+        out, peak = traced_peak(apply_local_gate, state, fourier_matrix(d), *range(1, k))
+        assert peak <= 1.1 * out.amplitudes.nbytes
 
     @pytest.mark.parametrize("d,k", [(2, 7), (3, 5), (4, 4), (5, 4)])
     def test_fused_layer_equals_chain_of_single_calls(self, d, k):
