@@ -27,7 +27,7 @@ from .budget import check_capacity
 from .errors import ConsistencyError, DomainError
 from .gates import _check_position, apply_local_gate, fourier_matrix, omega_powers
 from .oracle import LinearOracle
-from .state import Statevector, _Owned, decode_index, validate_digits
+from .state import _BLOCK, Statevector, _Owned, _Register, decode_index, validate_digits
 
 TOL_STATE = 1e-9
 PEAK_PROBABILITY_FLOOR = 1.0 - TOL_STATE
@@ -57,8 +57,9 @@ class RunReport:
 class QuantumTrace:
     """The state the pipeline ends in, for inspection and checks.
 
-    Only ``final`` is kept, so the query's output is freed once the inverse
-    layer returns.  The state after the query is
+    ``final`` is the solve's one register, handed on read-only once the
+    inverse layer has rewritten it; no earlier state of the pipeline is
+    kept.  The state after the query is
     ``oracle.apply_quantum(fourier_basis_state((0,) * n + (d - 1,), d))``.
     """
 
@@ -84,29 +85,59 @@ def fourier_basis_state(s: Sequence[int], d: int) -> Statevector:
     ``0...0, d-1`` and maps the secret onto ``s`` before its inverse readout.
     """
     s = validate_digits(s, d)
+    return Statevector(_Owned(_fourier_product(s, d)), d, len(s))
+
+
+def _fourier_product(s: tuple[int, ...], d: int) -> np.ndarray:
+    """The amplitudes of :func:`fourier_basis_state`, as a new array.
+
+    The product of the first columns is built by broadcast multiplies while
+    it fits in ``_BLOCK`` entries; a register of one block is that product.
+    A larger one is expanded inside its own array: the first ``d**j`` entries
+    hold the product of ``j`` columns, and each further column turns entry
+    ``x`` into entries ``x*d .. x*d + d-1``, a block at a time from the top
+    down, so no entry is overwritten before it is read.  A block whose output
+    overlaps it, the lowest, is read from a copy of at most ``_BLOCK / d``
+    entries.
+    """
     check_capacity(d ** len(s), "Fourier basis state")
     columns = omega_powers(d)[np.multiply.outer(s, np.arange(d)) % d] / np.sqrt(d)
+    head = 1
+    while head < len(s) and d ** (head + 1) <= _BLOCK:
+        head += 1
     amps = columns[0]
-    for column in columns[1:]:
+    for column in columns[1:head]:
         amps = (amps[:, None] * column).reshape(-1)
-    return Statevector(_Owned(amps), d, len(s))
+    if head == len(s):
+        return amps
+    out = np.empty(d ** len(s), np.complex128)
+    out[: amps.size] = amps
+    size, step = amps.size, max(1, _BLOCK // d)
+    del amps
+    for column in columns[head:]:
+        for hi in range(size, 0, -step):
+            lo = max(hi - step, 0)
+            block = out[lo:hi] if lo * d >= hi else out[lo:hi].copy()
+            np.multiply(block[:, None], column, out=out[lo * d : hi * d].reshape(-1, d))
+        size *= d
+    return out
 
 
 def quantum_bv_states(oracle: LinearOracle) -> QuantumTrace:
     """Run the quantum pipeline once and keep the state it ends in.
 
-    Applies the oracle exactly once and one gate layer.  At most two registers
-    are alive at once: the pre-query state and the query's output during the
-    query, then the query's output and the layer's (with one scratch block of
-    :func:`apply_local_gate`) during the layer.  The trace keeps the layer's
-    output alone.  Raises a capacity error before allocating if ``d**(n+1)``
-    exceeds the amplitude budget.
+    Applies the oracle exactly once and one gate layer, all in one register
+    that the solve owns: the pre-query state is expanded inside it, and the
+    query and the layer each rewrite it in place through a scratch block.
+    The trace hands it on as a read-only ``final``.  Raises a capacity error
+    before allocating if ``d**(n+1)`` exceeds the amplitude budget.
     """
     d, n = oracle.d, oracle.n
     check_capacity(d ** (n + 1), "pipeline register")
-    post_oracle = oracle.apply_quantum(fourier_basis_state((0,) * n + (d - 1,), d))
-    final = apply_local_gate(post_oracle, fourier_matrix(d).adjoint(), *range(1, n + 1))
-    return QuantumTrace(final)
+    register = _Register(_Owned(_fourier_product((0,) * n + (d - 1,), d)), d, n + 1)
+    register = oracle.apply_quantum(register)
+    register = apply_local_gate(register, fourier_matrix(d).adjoint(), *range(1, n + 1))
+    return QuantumTrace(Statevector(_Owned(register.amplitudes), d, n + 1))
 
 
 def marginal_probabilities(state: Statevector, qudits: Sequence[int]) -> np.ndarray:
@@ -115,6 +146,11 @@ def marginal_probabilities(state: Statevector, qudits: Sequence[int]) -> np.ndar
     The result is indexed by the big-endian encoding of the kept digits in
     the order given.  Raises a consistency error if the state's total
     probability strays from 1 beyond ``TOL_STATE``.
+
+    When the kept qudits open with ``1, 2, ..., t`` in that order, each value
+    of those ``t`` digits owns a contiguous run of the result, so the state is
+    squared and summed a block of those rows at a time, and no ``|psi|^2`` of
+    the whole register is formed.  Otherwise the block is the whole state.
     """
     if not isinstance(state, Statevector):
         raise DomainError(f"state must be a Statevector, got {type(state).__name__}")
@@ -127,18 +163,28 @@ def marginal_probabilities(state: Statevector, qudits: Sequence[int]) -> np.ndar
         raise DomainError("at least one qudit must be kept")
     if len(set(kept)) != len(kept):
         raise DomainError(f"duplicate qudit positions in {kept}")
-    probs = np.abs(state.amplitudes) ** 2
+    d = state.d
+    keep_axes = [q - 1 for q in kept]
+    other_axes = [ax for ax in range(k) if ax not in keep_axes]
+    lead = 0  # the kept qudits open with 1..lead
+    while lead < len(kept) and keep_axes[lead] == lead:
+        lead += 1
+    # Axis 0 of a block runs over its rows, one per value of the leading digits.
+    order = [0] + [1 + ax - lead for ax in keep_axes[lead:] + other_axes]
+    shape = (-1,) + (d,) * (k - lead)
+    row, width = d ** (k - lead), d ** (k - len(kept))  # amplitudes per row, per outcome
+    step = max(1, _BLOCK // row) * row
+    amps = state.amplitudes
+    probs = np.empty(amps.size // width)
+    for lo in range(0, amps.size, step):
+        block = (np.abs(amps[lo : lo + step]) ** 2).reshape(shape).transpose(order)
+        block.reshape(-1, width).sum(axis=1, out=probs[lo // width : (lo + step) // width])
     total = float(probs.sum())
     if abs(total - 1.0) > TOL_STATE:
         raise ConsistencyError(
             f"state probabilities sum to {total!r}, not 1 within {TOL_STATE}"
         )
-    d = state.d
-    keep_axes = [q - 1 for q in kept]
-    other_axes = [ax for ax in range(k) if ax not in keep_axes]
-    cube = probs.reshape((d,) * k)
-    ordered = np.transpose(cube, axes=keep_axes + other_axes)
-    return ordered.reshape(d ** len(kept), -1).sum(axis=1)
+    return probs
 
 
 def measure_register(

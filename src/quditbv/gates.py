@@ -9,10 +9,11 @@ Two independent execution routes are provided on purpose:
 * :func:`apply_local_gate` and :func:`apply_sum` act on the strided
   amplitude array without ever forming the full operator: a layer of
   single-qudit gates is batched matrix products, one per block of adjacent
-  qudits, into one output register that later products rewrite in place
-  through a scratch block of at most ``_BLOCK`` amplitudes, and SUM is two
-  slice copies per control digit.  The state they return adopts the output
-  register without a copy.
+  qudits, and SUM is two slice copies per control digit.  The state they
+  return adopts its output array without a copy.  A layer writes one output
+  register and rewrites it in place through a scratch block of at most
+  ``_BLOCK`` amplitudes; given the register a solver owns, that output is
+  the register itself, so the layer needs no second one.
 * :func:`dense_operator` builds the full ``d**k x d**k`` matrix for a gate
   sequence, for cross-checking the strided route on small registers.  Every
   gate, whatever its span, is lifted the same way: a Kronecker product with
@@ -30,7 +31,7 @@ import numpy as np
 
 from .budget import check_capacity
 from .errors import CapacityError, DomainError, check_int
-from .state import Statevector, _Owned, check_dimension
+from .state import _BLOCK, Statevector, _Owned, _output, _result, check_dimension
 
 TOL_ALGEBRA = 1e-12
 DENSE_DIM_LIMIT = 256
@@ -39,15 +40,13 @@ DENSE_DIM_LIMIT = 256
 # d=8 layer of 2**24 amplitudes took 0.93-1.02 s fused against 0.87-1.10 s
 # unfused (2 vCPUs, OpenBLAS, best of 3).
 FUSED_SIDE_LIMIT = 32
-# Amplitudes in the scratch block through which a layer rewrites its output
-# in place: 1 MiB, so a row block stays in cache across its passes.  Blocks of
-# 2**15 to 2**18 ran the inverse layer of a 2**24-amplitude solve within noise
-# of each other; 2**14 was 13% slower at d=2, n=22 and 19% at d=256, n=2 (2 vCPUs,
-# 2 MiB L2 per core, best of 3).
-_BLOCK = 1 << 16
 # Column chunks of an in-place pass start at multiples of this.  BLAS tiles
-# the columns of a product from the first one (by 4 in OpenBLAS's Haswell
-# kernel), and a chunk that starts inside a tile rounds differently.
+# the columns of a product from the first one, and a chunk that starts inside
+# a tile rounds differently.  The rule was measured under OpenBLAS's SkylakeX
+# kernel: there, chunks that start at multiples of 64 and end in no
+# one-column tail match the whole-register product bit for bit.  Under its
+# Haswell kernel they do not, and a chunked pass equals the whole-register
+# one only to rounding.
 _ALIGN = 64
 
 
@@ -203,11 +202,13 @@ def apply_local_gate(state: Statevector, gate: GateMatrix, pos: int, *more: int)
     of ``G (x) ... (x) G`` (see :func:`_layer_passes`), which equals the chain
     to rounding (``TOL_ALGEBRA``).
 
-    The call allocates one output register, which the returned
-    :class:`Statevector` adopts.  The first pass reads the caller's array and
-    writes it; every later pass rewrites it in place through a scratch block of
-    at most ``_BLOCK`` amplitudes (see :func:`_run_passes`).  Each amplitude
-    takes the same products as with whole-register passes, bit for bit.
+    The caller's state is left unchanged: the first pass reads its array and
+    writes a new output register, which the returned :class:`Statevector`
+    adopts, and every later pass rewrites that register in place through a
+    scratch block of at most ``_BLOCK`` amplitudes (see :func:`_run_passes`).
+    Only the register a solver owns is rewritten in place from the first
+    pass on.  Each amplitude takes the same products as with whole-register
+    passes, bit for bit under OpenBLAS's SkylakeX kernel (see ``_ALIGN``).
     """
     if not isinstance(state, Statevector):
         raise DomainError(f"state must be a Statevector, got {type(state).__name__}")
@@ -220,9 +221,9 @@ def apply_local_gate(state: Statevector, gate: GateMatrix, pos: int, *more: int)
     d, k = state.d, state.qudit_count
     positions = [_check_position(p, k) for p in (pos, *more)]
     passes = _layer_passes(gate.entries, positions, d, k)
-    out = np.empty_like(state.amplitudes)
+    out = _output(state)
     _run_passes(passes, state.amplitudes, out)
-    return Statevector(_Owned(out), d, k)
+    return _result(state, out)
 
 
 def _pass(entries: np.ndarray, right: int, src: np.ndarray, dst: np.ndarray) -> None:
@@ -239,12 +240,13 @@ def _run_passes(passes: list[tuple[np.ndarray, int]], src: np.ndarray, out: np.n
 
     A run of consecutive passes whose rows ``side*right`` fit in ``_BLOCK``
     goes one row block at a time.  A longer pass goes alone: from ``src`` to
-    ``out`` as one product when it is the first, in place by column chunks
-    otherwise.  Only the first pass reads ``src``.
+    ``out`` as one product when it is the first and ``src`` is not ``out``,
+    in place by column chunks otherwise.  Only the first pass reads ``src``,
+    which may be ``out`` itself.
     """
     rows = [entries.shape[0] * right for entries, right in passes]
     scratch = None  # a single pass goes straight from src to out
-    if len(passes) > 1:
+    if len(passes) > 1 or src is out:
         # A chunk of _ALIGN + 1 columns of a gate wider than _BLOCK / 65 (so
         # more than 2**20 entries) is the one thing that outgrows a block.
         widest = (_ALIGN + 1) * max(entries.shape[0] for entries, _ in passes)

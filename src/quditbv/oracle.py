@@ -9,9 +9,11 @@ exposes the function ``f(x) = (s . x) mod d`` in two forms:
   the paper's product of ``SUM**s_i`` gates from input qudit ``i`` to the
   target.  They all act on the target, so they commute, and their product
   is one modular add: the target row of each input ``x`` is rotated by
-  ``f(x)``.  The query runs it as one gather into one output buffer, and
-  equals the chain of :func:`~quditbv.gates.apply_sum` calls exactly, which
-  shares no code with it.
+  ``f(x)``.  The query runs it as one gather, a block of rows at a time
+  through one scratch block, and equals the chain of
+  :func:`~quditbv.gates.apply_sum` calls exactly, which shares no code with
+  it.  It rewrites the register a solver owns in place, and writes any other
+  state's image into a new one.
 
 Each call counts as exactly one query, no matter how large a superposition a
 quantum call touches.  Solvers must recover ``s`` through queries alone; the
@@ -28,10 +30,10 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError, check_int
-from .state import Statevector, _Owned, check_dimension, validate_digits
+from .state import Statevector, _output, _result, check_dimension, validate_digits
 
 # Amplitudes gathered per step of a quantum query, so the step's flat index
-# array holds 128 KiB whatever the register size.
+# array and its scratch block hold 128 and 256 KiB whatever the register size.
 _GATHER_CHUNK = 1 << 14
 
 
@@ -75,7 +77,9 @@ class LinearOracle:
         from each input qudit ``i`` to the target.  It runs as one gather:
         ``f`` is computed once over the ``d**n`` inputs, and each output
         amplitude is read once, a block of inputs at a time, from the target
-        row of its input rotated by ``f(x)``.
+        row of its input rotated by ``f(x)``.  The input is left unchanged
+        and the result is a new state (only the solver's own register is
+        rewritten in place).
         """
         d, n = self._d, self._n
         if state.d != d:
@@ -84,13 +88,18 @@ class LinearOracle:
             raise DomainError(
                 f"oracle acts on {n + 1} qudits, got a state of {state.qudit_count}"
             )
-        out = _gather_rotated(state.amplitudes, self.__secret, d)
+        out = _output(state)
+        _gather_rotated(state.amplitudes, out, self.__secret, d)
         self._query_count += 1
-        return Statevector(_Owned(out), d, n + 1)
+        return _result(state, out)
 
 
-def _gather_rotated(amps: np.ndarray, secret: tuple[int, ...], d: int) -> np.ndarray:
-    """All ``SUM**s_i`` gates as one gather: target row ``x`` rotated by ``f(x)``."""
+def _gather_rotated(src: np.ndarray, out: np.ndarray, secret: tuple[int, ...], d: int) -> None:
+    """All ``SUM**s_i`` gates as one gather into ``out``: target row ``x`` of ``src`` rotated by ``f(x)``.
+
+    Each block of rows is gathered straight into ``out``, or, when ``out``
+    is ``src`` itself, into a scratch block that is then copied back.
+    """
     # f(x) = (s . x) mod d over the big-endian input index, one leading digit
     # at a time from the last up, so each add runs a long inner loop over f;
     # its dtype holds the unreduced sum, at most 2(d-1).
@@ -105,15 +114,18 @@ def _gather_rotated(amps: np.ndarray, secret: tuple[int, ...], d: int) -> np.nda
     # view into 0..d-1 written twice, so row d - f(x) holds the digits to read.
     twice = np.arange(2 * d) % d
     windows = np.ndarray((d + 1, d), twice.dtype, twice, strides=(twice.itemsize,) * 2)
-    out = np.empty_like(amps)
-    block = max(1, _GATHER_CHUNK // d)  # inputs per gather
+    block = min(max(1, _GATHER_CHUNK // d), f.size)  # inputs per gather
+    starts = np.arange(0, block * d, d)[:, None]  # start of each row in a block
+    scratch = np.empty((block, d), src.dtype) if out is src else None
     for lo in range(0, f.size, block):
         hi = min(lo + block, f.size)
         index = windows[d - f[lo:hi]]
-        index += np.arange(lo * d, hi * d, d)[:, None]
-        # Indices are in range; mode="raise" would buffer ``out``.
-        np.take(amps, index, out=out[lo * d : hi * d].reshape(hi - lo, d), mode="clip")
-    return out
+        index += starts[: hi - lo]
+        rows = out[lo * d : hi * d].reshape(hi - lo, d) if scratch is None else scratch[: hi - lo]
+        # Indices are in range; mode="raise" would buffer the output.
+        np.take(src[lo * d : hi * d], index, out=rows, mode="clip")
+        if scratch is not None:
+            out[lo * d : hi * d] = rows.reshape(-1)
 
 
 def random_secret(d: int, n: int, rng: np.random.Generator) -> tuple[int, ...]:

@@ -36,6 +36,11 @@ def forward_layer(d, n):
     return apply_local_gate(start, fourier_matrix(d), *range(1, n + 2))
 
 
+def random_state(d, k, rng):
+    raw = rng.normal(size=d**k) + 1j * rng.normal(size=d**k)
+    return Statevector(raw / np.linalg.norm(raw), d, k)
+
+
 def pre_query_state(d, n):
     """The pre-query state as the solver builds it, a product of Fourier columns."""
     return fourier_basis_state((0,) * n + (d - 1,), d)
@@ -95,6 +100,17 @@ class TestFourierBasisState:
         label = random_secret(d, n, np.random.default_rng(d * n))
         sv, peak = traced_peak(fourier_basis_state, label, d)
         assert peak <= 3 * sv.amplitudes.nbytes
+
+    @pytest.mark.parametrize("d,n", [(2, 18), (17, 4), (16, 5), (256, 2)])
+    def test_equals_the_broadcast_product_of_columns(self, d, n):
+        # Past one block the product is expanded inside its own array; at
+        # d=17 the last expansion spans two blocks, and (256, 2) is one block.
+        label = random_secret(d, n, np.random.default_rng(d + n))
+        columns = fourier_matrix(d).entries[:, label].T
+        expected = columns[0]
+        for column in columns[1:]:
+            expected = (expected[:, None] * column).reshape(-1)
+        assert np.array_equal(fourier_basis_state(label, d).amplitudes, expected)
 
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())
@@ -161,6 +177,11 @@ class TestQuantumTrace:
         expected = apply_local_gate(post_oracle, fourier_matrix(d).adjoint(), *range(1, n + 1))
         assert np.array_equal(trace.final.amplitudes, expected.amplitudes)
 
+    def test_final_is_a_plain_read_only_statevector(self):
+        final = quantum_bv_states(LinearOracle((2, 0, 1), 3)).final
+        assert type(final) is Statevector
+        assert not final.amplitudes.flags.writeable
+
     def test_final_state_is_secret_tensor_ancilla(self):
         secret, d = (2, 1), 3
         trace = quantum_bv_states(LinearOracle(secret, d))
@@ -207,8 +228,8 @@ class TestQuantumTrace:
     @pytest.mark.parametrize("d,n", [(2, 16), (3, 9)])
     @pytest.mark.parametrize("solve", [quantum_bv_states, run_quantum_bv], ids=lambda f: f.__name__)
     def test_traced_peak_is_at_most_three_and_a_half_states(self, solve, d, n, traced_peak):
-        # (3, 9) fits in one scratch block, so its layer still alternates
-        # between two registers beside the query's output: about 3x.
+        # (3, 9) fits in one scratch block, so its layer alternates between
+        # the register and a scratch block of its size: about 2x.
         oracle = LinearOracle(random_secret(d, n, np.random.default_rng(d * n)), d)
         _, peak = traced_peak(solve, oracle)
         assert peak <= 3.5 * d ** (n + 1) * np.dtype(np.complex128).itemsize
@@ -216,12 +237,22 @@ class TestQuantumTrace:
     @pytest.mark.parametrize("d,n", [(2, 18), (16, 4)])
     @pytest.mark.parametrize("solve", [quantum_bv_states, run_quantum_bv], ids=lambda f: f.__name__)
     def test_traced_peak_is_at_most_two_and_a_quarter_states(self, solve, d, n, traced_peak):
-        # Two registers at a time: the pre-query state and the query's output,
-        # then that and the layer's output with its scratch block, then the
-        # final state and its |psi|^2, which is half a state.
+        # One register, which prep, query and layer rewrite in place, and the
+        # readout's marginal: at most about 1.4 states (see the test below).
         oracle = LinearOracle(random_secret(d, n, np.random.default_rng(d * n)), d)
         _, peak = traced_peak(solve, oracle)
         assert peak <= 2.25 * d ** (n + 1) * np.dtype(np.complex128).itemsize
+
+    @pytest.mark.parametrize("d,n", [(2, 18), (16, 4)])
+    @pytest.mark.parametrize("solve", [quantum_bv_states, run_quantum_bv], ids=lambda f: f.__name__)
+    def test_traced_peak_is_one_register_and_scratch(self, solve, d, n, traced_peak):
+        # One register with the scratch blocks of prep, query and layer; the
+        # readout adds its marginal of d**n floats and squares no more than a
+        # block at a time.
+        oracle = LinearOracle(random_secret(d, n, np.random.default_rng(d * n)), d)
+        _, peak = traced_peak(solve, oracle)
+        marginal = 8 * d**n if solve is run_quantum_bv else 0
+        assert peak <= 1.2 * d ** (n + 1) * np.dtype(np.complex128).itemsize + marginal
 
 
 class TestForwardKernelVariant:
@@ -373,6 +404,22 @@ class TestMarginalsAndMeasurement:
         trace = quantum_bv_states(LinearOracle((1, 2), 3))
         first = marginal_probabilities(trace.final, (1,))
         assert abs(first[1] - 1.0) <= 1e-9
+
+    @pytest.mark.parametrize(
+        "kept",
+        [range(1, 11), (1, 2, 3), (1, 2, 5, 4), (1, 3), (2, 1), (11,), range(11, 0, -1)],
+        ids=str,
+    )
+    def test_blocked_marginal_equals_the_whole_register_sum(self, kept):
+        # 3**11 amplitudes span three blocks.  A marginal whose kept qudits
+        # open with 1, 2, ... is summed a block of rows at a time, and each
+        # sum must be the one over the whole register's |psi|^2, bit for bit.
+        state = random_state(3, 11, np.random.default_rng(311))
+        keep_axes = [q - 1 for q in kept]
+        other_axes = [ax for ax in range(11) if ax not in keep_axes]
+        cube = (np.abs(state.amplitudes) ** 2).reshape((3,) * 11)
+        expected = cube.transpose(keep_axes + other_axes).reshape(3 ** len(keep_axes), -1).sum(axis=1)
+        assert np.array_equal(marginal_probabilities(state, kept), expected)
 
     def test_unnormalized_state_raises_consistency_error(self):
         state = Statevector(np.full(4, 0.5) * 1.5, 2, 2)

@@ -22,6 +22,7 @@ from quditbv import (
     sum_matrix,
 )
 from quditbv.gates import _BLOCK, FUSED_SIDE_LIMIT, _layer_passes
+from quditbv.state import _Owned, _Register
 from quditbv.verification import TOL_ALGEBRA
 
 
@@ -54,6 +55,30 @@ def whole_register_passes(state, gate, positions):
         else:
             amps = np.matmul(entries, amps.reshape(-1, side, right)).reshape(-1)
     return amps
+
+
+def register_of(state):
+    """A writeable copy of ``state`` as the register a solver owns, which kernels rewrite in place."""
+    return _Register(_Owned(state.amplitudes.copy()), state.d, state.qudit_count)
+
+
+# Layers whose passes take every route through ``_run_passes``.
+LAYER_CASES = [
+    (16, 5, [1, 2, 3, 4]),
+    (16, 5, [4, 3, 2, 1]),
+    (2, 19, list(range(1, 19))),
+    (3, 13, list(range(1, 13))),
+    (3, 10, list(range(1, 10))),
+    (16, 5, [1, 3, 1, 5, 2, 1]),
+]
+LAYER_IDS = [
+    "wide then narrow",
+    "narrow then wide",
+    "fused, right == 1 first",
+    "chunks of uneven width",
+    "one block",
+    "repeated positions",
+]
 
 
 def enumerated_lift(matrix, positions, d, k):
@@ -251,30 +276,43 @@ class TestApplyLocalGate:
         with pytest.raises(DomainError):
             apply_local_gate(state, fourier_matrix(2), 1, 2, bad, 1)
 
-    @pytest.mark.parametrize(
-        "d,k,positions",
-        [
-            (16, 5, [1, 2, 3, 4]),
-            (16, 5, [4, 3, 2, 1]),
-            (2, 19, list(range(1, 19))),
-            (3, 13, list(range(1, 13))),
-            (3, 10, list(range(1, 10))),
-            (16, 5, [1, 3, 1, 5, 2, 1]),
-        ],
-        ids=[
-            "wide then narrow",
-            "narrow then wide",
-            "fused, right == 1 first",
-            "chunks of uneven width",
-            "one block",
-            "repeated positions",
-        ],
-    )
+    @pytest.mark.parametrize("d,k,positions", LAYER_CASES, ids=LAYER_IDS)
     def test_layer_is_bit_identical_to_whole_register_passes(self, d, k, positions):
         state = random_state(d, k, np.random.default_rng(d + k))
         gate = fourier_matrix(d).adjoint()
         expected = whole_register_passes(state, gate, positions)
         assert np.array_equal(apply_local_gate(state, gate, *positions).amplitudes, expected)
+
+    @pytest.mark.parametrize("d,k,positions", LAYER_CASES, ids=LAYER_IDS)
+    def test_in_place_layer_is_bit_identical_to_whole_register_passes(self, d, k, positions):
+        # In place, the first pass too runs by row blocks or column chunks.
+        state = random_state(d, k, np.random.default_rng(d + k))
+        gate = fourier_matrix(d).adjoint()
+        expected = whole_register_passes(state, gate, positions)
+        register = register_of(state)
+        assert apply_local_gate(register, gate, *positions) is register
+        assert np.array_equal(register.amplitudes, expected)
+
+    @pytest.mark.parametrize("d", [2, 3, 16, 256])
+    def test_in_place_layer_equals_out_of_place_at_n_1(self, d):
+        # The solver's layer at n = 1 is a single pass, which needs a scratch
+        # block in place; at d = 256 the register is exactly one block.
+        state = random_state(d, 2, np.random.default_rng(d))
+        gate = fourier_matrix(d).adjoint()
+        expected = apply_local_gate(state, gate, 1)
+        register = register_of(state)
+        assert apply_local_gate(register, gate, 1) is register
+        assert np.array_equal(register.amplitudes, expected.amplitudes)
+
+    @pytest.mark.parametrize("d,k,positions", [(3, 3, [1, 2, 3, 2]), (16, 5, [1, 2, 3, 4])])
+    def test_public_call_leaves_its_input_unchanged_and_read_only(self, d, k, positions):
+        state = random_state(d, k, np.random.default_rng(d * k))
+        before = state.amplitudes.copy()
+        out = apply_local_gate(state, fourier_matrix(d), *positions)
+        assert not np.shares_memory(out.amplitudes, state.amplitudes)
+        assert np.array_equal(state.amplitudes, before)
+        assert not state.amplitudes.flags.writeable
+        assert not out.amplitudes.flags.writeable
 
     def test_last_column_joins_the_chunk_before(self, monkeypatch):
         # With a block one amplitude short of 65 columns of d=65, the pass at

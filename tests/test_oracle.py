@@ -14,6 +14,7 @@ from quditbv import (
     random_secret,
 )
 from quditbv.oracle import _GATHER_CHUNK
+from quditbv.state import _Owned, _Register
 
 
 def random_state(d, k, rng):
@@ -163,6 +164,30 @@ class TestApplyQuantum:
         state = random_state(d, n + 1, rng)
         _, peak = traced_peak(oracle.apply_quantum, state)
         assert peak <= 1.5 * state.amplitudes.nbytes
+
+    @pytest.mark.parametrize("d,n", [(2, 1), (5, 2), (2, 14), (3, 9), (7, 5), (129, 1)])
+    def test_in_place_query_equals_out_of_place(self, d, n):
+        # On the register a solver owns, each gathered block is copied back
+        # into the register itself; the last four span several blocks.
+        rng = np.random.default_rng(d * n + 1)
+        state = random_state(d, n + 1, rng)
+        oracle = LinearOracle(random_secret(d, n, rng), d)
+        expected = oracle.apply_quantum(state)
+        register = _Register(_Owned(state.amplitudes.copy()), d, n + 1)
+        assert oracle.apply_quantum(register) is register
+        assert np.array_equal(register.amplitudes, expected.amplitudes)
+        assert oracle.query_count == 2
+
+    @pytest.mark.parametrize("d,n", [(3, 2), (2, 14)])
+    def test_public_call_leaves_its_input_unchanged_and_read_only(self, d, n):
+        rng = np.random.default_rng(d + n)
+        state = random_state(d, n + 1, rng)
+        before = state.amplitudes.copy()
+        out = LinearOracle(tuple(int(v) for v in rng.integers(1, d, size=n)), d).apply_quantum(state)
+        assert not np.shares_memory(out.amplitudes, state.amplitudes)
+        assert np.array_equal(state.amplitudes, before)
+        assert not state.amplitudes.flags.writeable
+        assert not out.amplitudes.flags.writeable
 
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())

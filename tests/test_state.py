@@ -17,7 +17,7 @@ from quditbv import (
     set_amplitude_budget,
     tensor,
 )
-from quditbv.state import _Owned
+from quditbv.state import _BLOCK, _Owned
 
 
 class TestEncodeDecode:
@@ -86,6 +86,18 @@ class TestStatevector:
         amps = np.array([np.nan, 0, 0, 0], dtype=complex)
         with pytest.raises(DomainError):
             Statevector(amps, 2, 2)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, -np.inf)])
+    @pytest.mark.parametrize("index", [100_000, 3**11 - 1], ids=["middle block", "last block"])
+    def test_non_finite_rejected_past_the_first_block(self, bad, index):
+        # 3**11 amplitudes span three blocks, the last one partial.
+        amps = np.zeros(3**11, dtype=complex)
+        assert _BLOCK < index < 3**11 and 3**11 > 2 * _BLOCK
+        amps[index] = bad
+        with pytest.raises(DomainError, match="finite"):
+            Statevector(amps, 3, 11)
+        with pytest.raises(DomainError, match="finite"):
+            Statevector(_Owned(amps), 3, 11)
 
     def test_amplitudes_are_read_only_copies(self):
         raw = np.zeros(4, dtype=complex)
