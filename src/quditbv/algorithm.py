@@ -134,7 +134,7 @@ def quantum_bv_states(oracle: LinearOracle) -> QuantumTrace:
     """
     d, n = oracle.d, oracle.n
     check_capacity(d ** (n + 1), "pipeline register")
-    register = _Register(_Owned(_fourier_product((0,) * n + (d - 1,), d)), d, n + 1)
+    register = _Register(_fourier_product((0,) * n + (d - 1,), d), d, n + 1)
     register = oracle.apply_quantum(register)
     register = apply_local_gate(register, fourier_matrix(d).adjoint(), *range(1, n + 1))
     return QuantumTrace(Statevector(_Owned(register.amplitudes), d, n + 1))
@@ -165,12 +165,13 @@ def marginal_probabilities(state: Statevector, qudits: Sequence[int]) -> np.ndar
         raise DomainError(f"duplicate qudit positions in {kept}")
     d = state.d
     keep_axes = [q - 1 for q in kept]
-    other_axes = [ax for ax in range(k) if ax not in keep_axes]
     lead = 0  # the kept qudits open with 1..lead
     while lead < len(kept) and keep_axes[lead] == lead:
         lead += 1
-    # Axis 0 of a block runs over its rows, one per value of the leading digits.
-    order = [0] + [1 + ax - lead for ax in keep_axes[lead:] + other_axes]
+    # Axis 0 of a block runs over its rows, one per value of the leading
+    # digits; the other kept qudits follow in the order given, then the rest.
+    rest = keep_axes[lead:] + [ax for ax in range(lead, k) if ax not in keep_axes]
+    order = [0] + [ax + 1 - lead for ax in rest]
     shape = (-1,) + (d,) * (k - lead)
     row, width = d ** (k - lead), d ** (k - len(kept))  # amplitudes per row, per outcome
     step = max(1, _BLOCK // row) * row
@@ -178,8 +179,8 @@ def marginal_probabilities(state: Statevector, qudits: Sequence[int]) -> np.ndar
     probs = np.empty(amps.size // width)
     for lo in range(0, amps.size, step):
         block = (np.abs(amps[lo : lo + step]) ** 2).reshape(shape).transpose(order)
-        block.reshape(-1, width).sum(axis=1, out=probs[lo // width : (lo + step) // width])
-    total = float(probs.sum())
+        np.add.reduce(block.reshape(-1, width), axis=1, out=probs[lo // width : (lo + step) // width])
+    total = float(np.add.reduce(probs))
     if abs(total - 1.0) > TOL_STATE:
         raise ConsistencyError(
             f"state probabilities sum to {total!r}, not 1 within {TOL_STATE}"

@@ -126,17 +126,18 @@ class Statevector:
 class _Register(Statevector):
     """A register that a solver owns and that the kernels rewrite in place.
 
-    Built like a :class:`Statevector` from an :class:`_Owned` array, but the
-    array stays writeable.  Given one, :meth:`LinearOracle.apply_quantum` and
-    :func:`apply_local_gate` write their result into it and return it;
-    given any other state, they return a new one.  It never leaves the
-    solver: the solver hands on a plain :class:`Statevector` that adopts the
-    array, which makes it read-only.
+    ``_Register(amps, d, k)`` adopts ``amps``, a fresh, writeable,
+    C-contiguous complex128 array of ``d**k`` entries, as is: the solver
+    builds it from validated parts, and it is not checked again here.  Given
+    one, :meth:`LinearOracle.apply_quantum` and :func:`apply_local_gate` write
+    their result into it and return it; given any other state, they return a
+    new one.  It never leaves the solver: the solver hands on a plain
+    :class:`Statevector` that adopts the array, which validates it in full
+    and makes it read-only.
     """
 
     def __post_init__(self) -> None:
-        super().__post_init__()
-        self.amplitudes.flags.writeable = True
+        pass
 
 
 def _output(state: Statevector) -> np.ndarray:

@@ -22,7 +22,7 @@ from quditbv import (
     sum_matrix,
 )
 from quditbv.gates import _BLOCK, FUSED_SIDE_LIMIT, _layer_passes
-from quditbv.state import _Owned, _Register
+from quditbv.state import _Register
 from quditbv.verification import TOL_ALGEBRA
 
 
@@ -59,7 +59,7 @@ def whole_register_passes(state, gate, positions):
 
 def register_of(state):
     """A writeable copy of ``state`` as the register a solver owns, which kernels rewrite in place."""
-    return _Register(_Owned(state.amplitudes.copy()), state.d, state.qudit_count)
+    return _Register(state.amplitudes.copy(), state.d, state.qudit_count)
 
 
 # Layers whose passes take every route through ``_run_passes``.

@@ -14,7 +14,7 @@ from quditbv import (
     random_secret,
 )
 from quditbv.oracle import _GATHER_CHUNK
-from quditbv.state import _Owned, _Register
+from quditbv.state import _Register
 
 
 def random_state(d, k, rng):
@@ -173,7 +173,7 @@ class TestApplyQuantum:
         state = random_state(d, n + 1, rng)
         oracle = LinearOracle(random_secret(d, n, rng), d)
         expected = oracle.apply_quantum(state)
-        register = _Register(_Owned(state.amplitudes.copy()), d, n + 1)
+        register = _Register(state.amplitudes.copy(), d, n + 1)
         assert oracle.apply_quantum(register) is register
         assert np.array_equal(register.amplitudes, expected.amplitudes)
         assert oracle.query_count == 2
