@@ -27,7 +27,7 @@ from .budget import check_capacity
 from .errors import ConsistencyError, DomainError
 from .gates import _check_position, apply_local_gate, fourier_matrix, omega_powers
 from .oracle import LinearOracle
-from .state import _BLOCK, Statevector, _Owned, _Register, decode_index, validate_digits
+from .state import _BLOCK, Statevector, _Owned, _Register, _split, _spread, decode_index, validate_digits
 
 TOL_STATE = 1e-9
 PEAK_PROBABILITY_FLOOR = 1.0 - TOL_STATE
@@ -93,12 +93,16 @@ def _fourier_product(s: tuple[int, ...], d: int) -> np.ndarray:
 
     The product of the first columns is built by broadcast multiplies while
     it fits in ``_BLOCK`` entries; a register of one block is that product.
-    A larger one is expanded inside its own array: the first ``d**j`` entries
-    hold the product of ``j`` columns, and each further column turns entry
+    A larger one is expanded inside its own array.  Its ``d**j`` head
+    entries, the product of ``j`` columns, are cut into jobs of one piece
+    (see :func:`~quditbv.state._split`) over ``d``; the entries of each job
+    open the part of the array they expand into, and the jobs run on
+    separate threads.  Within its part, each further column turns entry
     ``x`` into entries ``x*d .. x*d + d-1``, a block at a time from the top
-    down, so no entry is overwritten before it is read.  A block whose output
-    overlaps it, the lowest, is read from a copy of at most ``_BLOCK / d``
-    entries.
+    down, so no entry is overwritten before it is read, and every entry is
+    multiplied by the columns in order, left to right.  A block whose output
+    overlaps it, the lowest, is read from a copy of at most a piece over
+    ``d`` entries.
     """
     check_capacity(d ** len(s), "Fourier basis state")
     columns = omega_powers(d)[np.multiply.outer(s, np.arange(d)) % d] / np.sqrt(d)
@@ -111,15 +115,25 @@ def _fourier_product(s: tuple[int, ...], d: int) -> np.ndarray:
     if head == len(s):
         return amps
     out = np.empty(d ** len(s), np.complex128)
-    out[: amps.size] = amps
-    size, step = amps.size, max(1, _BLOCK // d)
-    del amps
-    for column in columns[head:]:
-        for hi in range(size, 0, -step):
-            lo = max(hi - step, 0)
-            block = out[lo:hi] if lo * d >= hi else out[lo:hi].copy()
-            np.multiply(block[:, None], column, out=out[lo * d : hi * d].reshape(-1, d))
-        size *= d
+    piece, workers = _split(out.size)
+    step = max(1, piece // d)
+    heads, run = amps.size, out.size // amps.size  # run: the entries one head entry expands into
+    for first in range(0, heads, step):  # each job's head entries open its own part of out
+        block = amps[first : first + step]
+        out[first * run : first * run + block.size] = block
+    del amps, block
+
+    def expand(first: int, w: int) -> None:
+        part = out[first * run : (first + step) * run]
+        size = min(step, heads - first)
+        for column in columns[head:]:
+            for hi in range(size, 0, -step):
+                lo = max(hi - step, 0)
+                block = part[lo:hi] if lo * d >= hi else part[lo:hi].copy()
+                np.multiply(block[:, None], column, out=part[lo * d : hi * d].reshape(-1, d))
+            size *= d
+
+    _spread(expand, range(0, heads, step), workers)
     return out
 
 
@@ -131,6 +145,10 @@ def quantum_bv_states(oracle: LinearOracle) -> QuantumTrace:
     query and the layer each rewrite it in place through a scratch block.
     The trace hands it on as a read-only ``final``.  Raises a capacity error
     before allocating if ``d**(n+1)`` exceeds the amplitude budget.
+
+    Each stage sweeps a register of more than one block in fixed pieces, on
+    as many threads as numpy's BLAS is given (at most ``_SHARES``); ``final``
+    is the same, bit for bit, at every thread count.
     """
     d, n = oracle.d, oracle.n
     check_capacity(d ** (n + 1), "pipeline register")
@@ -150,7 +168,8 @@ def marginal_probabilities(state: Statevector, qudits: Sequence[int]) -> np.ndar
     When the kept qudits open with ``1, 2, ..., t`` in that order, each value
     of those ``t`` digits owns a contiguous run of the result, so the state is
     squared and summed a block of those rows at a time, and no ``|psi|^2`` of
-    the whole register is formed.  Otherwise the block is the whole state.
+    the whole register is formed; the blocks of a large state run on
+    separate threads.  Otherwise the block is the whole state.
     """
     if not isinstance(state, Statevector):
         raise DomainError(f"state must be a Statevector, got {type(state).__name__}")
@@ -174,12 +193,16 @@ def marginal_probabilities(state: Statevector, qudits: Sequence[int]) -> np.ndar
     order = [0] + [ax + 1 - lead for ax in rest]
     shape = (-1,) + (d,) * (k - lead)
     row, width = d ** (k - lead), d ** (k - len(kept))  # amplitudes per row, per outcome
-    step = max(1, _BLOCK // row) * row
     amps = state.amplitudes
+    piece, workers = _split(amps.size)
+    step = max(1, piece // row) * row
     probs = np.empty(amps.size // width)
-    for lo in range(0, amps.size, step):
+
+    def reduce(lo: int, w: int) -> None:
         block = (np.abs(amps[lo : lo + step]) ** 2).reshape(shape).transpose(order)
         np.add.reduce(block.reshape(-1, width), axis=1, out=probs[lo // width : (lo + step) // width])
+
+    _spread(reduce, range(0, amps.size, step), workers if step <= piece else 1)
     total = float(np.add.reduce(probs))
     if abs(total - 1.0) > TOL_STATE:
         raise ConsistencyError(

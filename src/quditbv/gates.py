@@ -13,7 +13,10 @@ Two independent execution routes are provided on purpose:
   return adopts its output array without a copy.  A layer writes one output
   register and rewrites it in place through a scratch block of at most
   ``_BLOCK`` amplitudes; given the register a solver owns, that output is
-  the register itself, so the layer needs no second one.
+  the register itself, so the layer needs no second one.  BLAS runs one
+  thread per product while a layer runs, and the layer's pieces run on as
+  many threads as BLAS was given instead, so its result does not depend on
+  the thread count.
 * :func:`dense_operator` builds the full ``d**k x d**k`` matrix for a gate
   sequence, for cross-checking the strided route on small registers.  Every
   gate, whatever its span, is lifted the same way: a Kronecker product with
@@ -31,7 +34,18 @@ import numpy as np
 
 from .budget import check_capacity
 from .errors import CapacityError, DomainError, check_int
-from .state import _BLOCK, Statevector, _Owned, _output, _result, check_dimension
+from .state import (
+    _BLOCK,
+    Statevector,
+    _blas_threads,
+    _Owned,
+    _output,
+    _result,
+    _set_blas_threads,
+    _split,
+    _spread,
+    check_dimension,
+)
 
 TOL_ALGEBRA = 1e-12
 DENSE_DIM_LIMIT = 256
@@ -208,7 +222,8 @@ def apply_local_gate(state: Statevector, gate: GateMatrix, pos: int, *more: int)
     scratch block of at most ``_BLOCK`` amplitudes (see :func:`_run_passes`).
     Only the register a solver owns is rewritten in place from the first
     pass on.  Each amplitude takes the same products as with whole-register
-    passes, bit for bit under OpenBLAS's SkylakeX kernel (see ``_ALIGN``).
+    passes, bit for bit under OpenBLAS's SkylakeX kernel (see ``_ALIGN``),
+    and the same products at every BLAS thread count under any kernel.
     """
     if not isinstance(state, Statevector):
         raise DomainError(f"state must be a Statevector, got {type(state).__name__}")
@@ -238,12 +253,21 @@ def _pass(entries: np.ndarray, right: int, src: np.ndarray, dst: np.ndarray) -> 
 def _run_passes(passes: list[tuple[np.ndarray, int]], src: np.ndarray, out: np.ndarray) -> None:
     """Apply ``passes`` in order to ``src``, leaving the result in ``out``.
 
-    A run of consecutive passes whose rows ``side*right`` fit in ``_BLOCK``
-    goes one row block at a time.  A longer pass goes alone: from ``src`` to
-    ``out`` as one product when it is the first and ``src`` is not ``out``,
-    in place by column chunks otherwise.  Only the first pass reads ``src``,
-    which may be ``out`` itself.
+    A register of one block is one piece; a larger one goes in pieces of
+    ``_BLOCK // _SHARES`` amplitudes, whatever the thread count.  A run of
+    consecutive passes whose rows ``side*right`` fit in a piece goes one
+    block of whole rows at a time.  A longer pass goes alone, by chunks of
+    the columns of each ``(side, right)`` plane: from ``src`` into ``out``
+    when it is the first and ``src`` is not ``out``, in place otherwise.
+    Only the first pass reads ``src``, which may be ``out`` itself.
+
+    BLAS runs one thread per product while the layer runs, so no product
+    depends on its thread count; the blocks and chunks of a pass are spread
+    over as many workers as BLAS had threads, at most ``_SHARES`` (see
+    :func:`~quditbv.state._spread`), each with its own share of the scratch
+    block.  The count is restored on return, also when a product raises.
     """
+    piece, workers = _split(out.size, _BLOCK)
     rows = [entries.shape[0] * right for entries, right in passes]
     scratch = None  # a single pass goes straight from src to out
     if len(passes) > 1 or src is out:
@@ -251,36 +275,40 @@ def _run_passes(passes: list[tuple[np.ndarray, int]], src: np.ndarray, out: np.n
         # more than 2**20 entries) is the one thing that outgrows a block.
         widest = (_ALIGN + 1) * max(entries.shape[0] for entries, _ in passes)
         scratch = np.empty(min(max(_BLOCK, widest), out.size), out.dtype)
-    i = 0
-    while i < len(passes):
-        j = i + 1
-        if rows[i] <= _BLOCK:
-            while j < len(passes) and rows[j] <= _BLOCK:
-                j += 1
-            _run_row_blocks(passes[i:j], max(rows[i:j]), src, out, scratch)
-        elif src is not out:
-            _pass(*passes[i], src, out)
-        else:
-            _run_column_chunks(*passes[i], out, scratch)
-        src, i = out, j
+    threads = _blas_threads()
+    _set_blas_threads(1)
+    try:
+        i = 0
+        while i < len(passes):
+            j = i + 1
+            if rows[i] <= piece:
+                while j < len(passes) and rows[j] <= piece:
+                    j += 1
+                _run_row_blocks(passes[i:j], max(rows[i:j]), piece, src, out, scratch, workers)
+            else:
+                _run_column_chunks(*passes[i], piece, src, out, scratch, workers)
+            src, i = out, j
+    finally:
+        _set_blas_threads(threads)
 
 
 def _run_row_blocks(
-    run: list[tuple[np.ndarray, int]], row: int, src: np.ndarray, out: np.ndarray,
-    scratch: np.ndarray | None,
+    run: list[tuple[np.ndarray, int]], row: int, piece: int, src: np.ndarray, out: np.ndarray,
+    scratch: np.ndarray | None, workers: int,
 ) -> None:
-    """Apply ``run`` to ``src`` into ``out`` one block of whole rows at a time.
+    """Apply ``run`` to ``src`` into ``out`` one block of whole rows, at most ``piece`` long, at a time.
 
     Every pass takes the block while it is in cache, alternating between the
-    block of ``out`` and the scratch block.  The first buffer is picked by the
-    parity of the run so that the last pass lands in ``out``: a register of
-    one block makes the whole-register products with no copy back.  In place,
-    an odd run ends with one.
+    block of ``out`` and the worker's share of the scratch block.  The first
+    buffer is picked by the parity of the run so that the last pass lands in
+    ``out``: a register of one block makes the whole-register products with
+    no copy back.  In place, an odd run ends with one.
     """
-    step = _BLOCK // row * row
-    for lo in range(0, out.size, step):
+    step = piece // row * row
+
+    def block(lo: int, w: int) -> None:
         dst = out[lo : lo + step]
-        spare = None if scratch is None else scratch[: dst.size]
+        spare = None if scratch is None else scratch[w * step : w * step + dst.size]
         x, y = src[lo : lo + step], (spare if src is out or len(run) % 2 == 0 else dst)
         for entries, right in run:
             _pass(entries, right, x, y)
@@ -288,21 +316,41 @@ def _run_row_blocks(
         if x is not dst:
             dst[...] = x
 
+    _spread(block, range(0, out.size, step), workers)
 
-def _run_column_chunks(entries: np.ndarray, right: int, out: np.ndarray, scratch: np.ndarray) -> None:
-    """Rewrite ``out`` by one pass, in place, a chunk of columns of each ``(side, right)`` plane at a time."""
+
+def _run_column_chunks(
+    entries: np.ndarray, right: int, piece: int, src: np.ndarray, out: np.ndarray,
+    scratch: np.ndarray | None, workers: int,
+) -> None:
+    """Apply one pass a chunk of columns of each ``(side, right)`` plane at a time.
+
+    A chunk goes from ``src`` straight into ``out``, or, in place, through
+    the worker's share of the scratch block.
+    """
     side = entries.shape[0]
-    # Chunks are a multiple of _ALIGN wide, with room for one more column: a
-    # last chunk of one column would take numpy's matrix-vector route, which
-    # rounds differently, so the chunk before takes that column too.
-    cols = max(_ALIGN, (_BLOCK // side - 1) // _ALIGN * _ALIGN)
-    edges = [*range(0, right - 1, cols), right]
-    for plane in out.reshape(-1, side, right):
-        for lo, hi in zip(edges, edges[1:]):
-            chunk = plane[:, lo:hi]
-            temp = scratch[: chunk.size].reshape(side, -1)
-            np.matmul(entries, chunk, out=temp)
-            chunk[...] = temp
+    # Chunks are a multiple of _ALIGN wide: a last chunk of one column would
+    # take numpy's matrix-vector route, which rounds differently, so the
+    # chunk before takes that column too.
+    cols = max(_ALIGN, piece // side // _ALIGN * _ALIGN)
+    edges = [*range(0, max(right - 1, 1), cols), right]
+    share = max(hi - lo for lo, hi in zip(edges, edges[1:])) * side  # the widest chunk
+    if share > piece:  # chunks this wide go one at a time, through the whole scratch block
+        workers = 1
+    planes, targets = src.reshape(-1, side, right), out.reshape(-1, side, right)
+
+    def chunk(job: tuple[int, int, int], w: int) -> None:
+        plane, lo, hi = job
+        if src is not out:
+            np.matmul(entries, planes[plane, :, lo:hi], out=targets[plane, :, lo:hi])
+            return
+        columns = targets[plane, :, lo:hi]
+        temp = scratch[w * share : w * share + columns.size].reshape(side, -1)
+        np.matmul(entries, columns, out=temp)
+        columns[...] = temp
+
+    jobs = [(plane, lo, hi) for plane in range(planes.shape[0]) for lo, hi in zip(edges, edges[1:])]
+    _spread(chunk, jobs, workers)
 
 
 def apply_sum(state: Statevector, control: int, target: int) -> Statevector:

@@ -12,7 +12,9 @@ exposes the function ``f(x) = (s . x) mod d`` in two forms:
   ``f(x)``.  The query runs it as one gather, a block of rows at a time
   through one scratch block, and equals the chain of
   :func:`~quditbv.gates.apply_sum` calls exactly, which shares no code with
-  it.  It rewrites the register a solver owns in place, and writes any other
+  it.  The blocks of a large register are spread over as many threads as
+  numpy's BLAS is given, each through its own share of the scratch block.
+  It rewrites the register a solver owns in place, and writes any other
   state's image into a new one.
 
 Each call counts as exactly one query, no matter how large a superposition a
@@ -30,7 +32,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError, check_int
-from .state import Statevector, _output, _result, check_dimension, validate_digits
+from .state import Statevector, _output, _result, _split, _spread, check_dimension, validate_digits
 
 # Amplitudes gathered per step of a quantum query, so the step's flat index
 # array and its scratch block hold 128 and 256 KiB whatever the register size.
@@ -114,18 +116,22 @@ def _gather_rotated(src: np.ndarray, out: np.ndarray, secret: tuple[int, ...], d
     # view into 0..d-1 written twice, so row d - f(x) holds the digits to read.
     twice = np.arange(2 * d) % d
     windows = np.ndarray((d + 1, d), twice.dtype, twice, strides=(twice.itemsize,) * 2)
-    block = min(max(1, _GATHER_CHUNK // d), f.size)  # inputs per gather
+    piece, workers = _split(src.size, _GATHER_CHUNK)
+    block = min(max(1, piece // d), f.size)  # inputs per gather
     starts = np.arange(0, block * d, d)[:, None]  # start of each row in a block
-    scratch = np.empty((block, d), src.dtype) if out is src else None
-    for lo in range(0, f.size, block):
+    scratch = np.empty((workers, block, d), src.dtype) if out is src else None
+
+    def gather(lo: int, w: int) -> None:
         hi = min(lo + block, f.size)
         index = windows[d - f[lo:hi]]
         index += starts[: hi - lo]
-        rows = out[lo * d : hi * d].reshape(hi - lo, d) if scratch is None else scratch[: hi - lo]
+        rows = out[lo * d : hi * d].reshape(hi - lo, d) if scratch is None else scratch[w, : hi - lo]
         # Indices are in range; mode="raise" would buffer the output.
         np.take(src[lo * d : hi * d], index, out=rows, mode="clip")
         if scratch is not None:
             out[lo * d : hi * d] = rows.reshape(-1)
+
+    _spread(gather, range(0, f.size, block), workers)
 
 
 def random_secret(d: int, n: int, rng: np.random.Generator) -> tuple[int, ...]:
