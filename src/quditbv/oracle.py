@@ -10,12 +10,14 @@ exposes the function ``f(x) = (s . x) mod d`` in two forms:
   target.  They all act on the target, so they commute, and their product
   is one modular add: the target row of each input ``x`` is rotated by
   ``f(x)``.  The query runs it as one gather, a block of rows at a time
-  through one scratch block, and equals the chain of
-  :func:`~quditbv.gates.apply_sum` calls exactly, which shares no code with
-  it.  The blocks of a large register are spread over as many threads as
-  numpy's BLAS is given, each through its own share of the scratch block.
-  It rewrites the register a solver owns in place, and writes any other
-  state's image into a new one.
+  through one scratch block.  Rows whose inputs share their leading digits
+  share one table of source indices, rotated by the leading digits' part of
+  ``f``, so a block is one ``np.take`` through a table built once per call.
+  The query equals the chain of :func:`~quditbv.gates.apply_sum` calls
+  exactly, which shares no code with it.  The blocks of a large register
+  are spread over as many threads as numpy's BLAS is given, each through its
+  own share of the scratch block.  It rewrites the register a solver owns in
+  place, and writes any other state's image into a new one.
 
 Each call counts as exactly one query, no matter how large a superposition a
 quantum call touches.  Solvers must recover ``s`` through queries alone; the
@@ -34,8 +36,10 @@ import numpy as np
 from .errors import DomainError, check_int
 from .state import Statevector, _output, _result, _split, _spread, check_dimension, validate_digits
 
-# Amplitudes gathered per step of a quantum query, so the step's flat index
-# array and its scratch block hold 128 and 256 KiB whatever the register size.
+# A quantum query of more than this many amplitudes goes in pieces of half of
+# it, and a group of rows that shares one index table fits in a piece: the
+# scratch block holds 256 KiB and the d tables at most d * 64 KiB of index
+# entries, whatever the register size.
 _GATHER_CHUNK = 1 << 14
 
 
@@ -77,11 +81,11 @@ class LinearOracle:
         register in positions 1..n and the target qudit at position n+1.
         The action is a pure permutation of amplitudes, equal to ``SUM**s_i``
         from each input qudit ``i`` to the target.  It runs as one gather:
-        ``f`` is computed once over the ``d**n`` inputs, and each output
-        amplitude is read once, a block of inputs at a time, from the target
-        row of its input rotated by ``f(x)``.  The input is left unchanged
-        and the result is a new state (only the solver's own register is
-        rewritten in place).
+        each output amplitude is read once, a block of inputs at a time,
+        from the target row of its input rotated by ``f(x)``, through index
+        tables built once per call.  The input is left unchanged and the
+        result is a new state (only the solver's own register is rewritten
+        in place).
         """
         d, n = self._d, self._n
         if state.d != d:
@@ -99,39 +103,79 @@ class LinearOracle:
 def _gather_rotated(src: np.ndarray, out: np.ndarray, secret: tuple[int, ...], d: int) -> None:
     """All ``SUM**s_i`` gates as one gather into ``out``: target row ``x`` of ``src`` rotated by ``f(x)``.
 
-    Each block of rows is gathered straight into ``out``, or, when ``out``
-    is ``src`` itself, into a scratch block that is then copied back.
+    ``f`` splits over the big-endian input digits into a lead and a low
+    part, ``f(x) = (f_lead(x_lead) + f_low(x_low)) mod d``, where the low
+    part covers the last ``m`` digits: the most whose group of ``d**m`` rows
+    fits in one piece of the sweep.  All rows of a group share one table of
+    source indices, rotated by the group's lead value ``c``: ``tables[c]``
+    is the table of ``c = 0`` with its columns rotated by ``c``.  The ``d``
+    tables (only ``tables[0]`` on a register of one block, whose lead is
+    empty) are built once from the ``d**m`` low inputs, and ``f_lead`` over
+    the other ``d**(n-m)``, so no ``f`` of all ``d**n`` inputs is formed.
+
+    A block is as many groups as fit in a piece.  A block of one group is
+    one ``np.take`` through its table; the index of a longer one, such as a
+    block of rows when ``d**2`` exceeds a piece and each group is one row,
+    is its groups' tables, each offset to its group.  Each block is
+    gathered straight into ``out``, or, when ``out`` is ``src`` itself, into
+    a scratch block that is then copied back.
+
+    The tables hold at most ``d`` pieces of index entries, and at most
+    ``d**(m+2) <= d**(n+1)`` of them at 8 bytes each: never more than half
+    the register that the caller has already charged to the budget.  The
+    workers' scratch blocks add up to one ``_GATHER_CHUNK``.
     """
-    # f(x) = (s . x) mod d over the big-endian input index, one leading digit
-    # at a time from the last up, so each add runs a long inner loop over f;
-    # its dtype holds the unreduced sum, at most 2(d-1).
-    dtype = np.min_scalar_type(2 * (d - 1))
-    steps = (np.multiply.outer(secret, np.arange(d)) % d).astype(dtype)
+    n = len(secret)
+    piece, workers = _split(src.size, _GATHER_CHUNK)
+    m = n  # the low digits: the most, down to none, whose rows fit a piece
+    while m and d ** (m + 1) > piece:
+        m -= 1
+    # The dtype holds an unreduced sum of two digits, at most 2(d-1).
+    steps = (np.multiply.outer(secret, np.arange(d)) % d).astype(np.min_scalar_type(2 * (d - 1)))
+    lead, low = _dot_mod(steps[: n - m], d), _dot_mod(steps[n - m :], d)
+    # Target digit j of row r reads digit (j - f_low(r) - c) mod d.  Row k of
+    # ``windows`` holds (j + k) mod d for j = 0..d-1, as an overlapping view
+    # into 0..d-1 written twice, so row d - (f_low(r) + c) mod d holds them.
+    twice = np.arange(2 * d) % d
+    windows = np.ndarray((d + 1, d), twice.dtype, twice, strides=(twice.itemsize,) * 2)
+    shift = low if lead.size == 1 else (low + np.arange(d)[:, None]) % d
+    group = low.size * d  # amplitudes per group
+    tables = windows[d - shift]
+    tables += np.arange(0, group, d)[:, None]  # the start of each row
+    tables = tables.reshape(-1, group)
+    per = min(max(1, piece // group), lead.size)  # groups per block
+    offsets = np.arange(0, per * group, group)[:, None]
+    scratch = np.empty((workers, per * group), src.dtype) if out is src else None
+
+    def gather(g: int, w: int) -> None:
+        lo, hi = g * group, min(g + per, lead.size) * group
+        if per == 1:
+            index = tables[lead[g]]
+        else:
+            index = tables[lead[g : g + per]]
+            index += offsets[: index.shape[0]]
+        rows = out[lo:hi] if scratch is None else scratch[w, : hi - lo]
+        # Indices are in range; mode="raise" would buffer the output.
+        np.take(src[lo:hi], index, out=rows.reshape(index.shape), mode="clip")
+        if scratch is not None:
+            out[lo:hi] = rows
+
+    _spread(gather, range(0, lead.size, per), workers)
+
+
+def _dot_mod(steps: np.ndarray, d: int) -> np.ndarray:
+    """``(s . x) mod d`` over the big-endian inputs ``x``, given ``steps[i, v] = (s_i * v) mod d``.
+
+    Built one leading digit at a time from the last up, so each add runs a
+    long inner loop over the values so far.
+    """
+    if not len(steps):
+        return np.zeros(1, steps.dtype)
     f = steps[-1]
     for step in steps[-2::-1]:
         f = (step[:, None] + f).reshape(-1)
         f %= d
-    # Target digit j of input x is read from digit (j - f(x)) mod d.  Row k
-    # of ``windows`` holds (j + k) mod d for j = 0..d-1, as an overlapping
-    # view into 0..d-1 written twice, so row d - f(x) holds the digits to read.
-    twice = np.arange(2 * d) % d
-    windows = np.ndarray((d + 1, d), twice.dtype, twice, strides=(twice.itemsize,) * 2)
-    piece, workers = _split(src.size, _GATHER_CHUNK)
-    block = min(max(1, piece // d), f.size)  # inputs per gather
-    starts = np.arange(0, block * d, d)[:, None]  # start of each row in a block
-    scratch = np.empty((workers, block, d), src.dtype) if out is src else None
-
-    def gather(lo: int, w: int) -> None:
-        hi = min(lo + block, f.size)
-        index = windows[d - f[lo:hi]]
-        index += starts[: hi - lo]
-        rows = out[lo * d : hi * d].reshape(hi - lo, d) if scratch is None else scratch[w, : hi - lo]
-        # Indices are in range; mode="raise" would buffer the output.
-        np.take(src[lo * d : hi * d], index, out=rows, mode="clip")
-        if scratch is not None:
-            out[lo * d : hi * d] = rows.reshape(-1)
-
-    _spread(gather, range(0, f.size, block), workers)
+    return f
 
 
 def random_secret(d: int, n: int, rng: np.random.Generator) -> tuple[int, ...]:

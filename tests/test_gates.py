@@ -22,7 +22,7 @@ from quditbv import (
     sum_matrix,
 )
 from quditbv.gates import _BLOCK, FUSED_SIDE_LIMIT, _layer_passes
-from quditbv.state import _Register
+from quditbv.state import _blas_threads, _Register, _set_blas_threads
 from quditbv.verification import TOL_ALGEBRA
 
 
@@ -46,14 +46,23 @@ def kron_lift(matrix, pos, d, k):
 
 
 def whole_register_passes(state, gate, positions):
-    """The passes of ``_layer_passes``, each one ``np.matmul`` over the whole register."""
+    """The passes of ``_layer_passes``, each one ``np.matmul`` over the whole register.
+
+    BLAS runs on one thread, as it does for every product of a layer, since
+    some OpenBLAS kernels split a product's sums differently over threads.
+    """
     amps = state.amplitudes
-    for entries, right in _layer_passes(gate.entries, positions, state.d, state.qudit_count):
-        side = entries.shape[0]
-        if right == 1:
-            amps = np.matmul(amps.reshape(-1, side), entries.T).reshape(-1)
-        else:
-            amps = np.matmul(entries, amps.reshape(-1, side, right)).reshape(-1)
+    threads = _blas_threads()
+    _set_blas_threads(1)
+    try:
+        for entries, right in _layer_passes(gate.entries, positions, state.d, state.qudit_count):
+            side = entries.shape[0]
+            if right == 1:
+                amps = np.matmul(amps.reshape(-1, side), entries.T).reshape(-1)
+            else:
+                amps = np.matmul(entries, amps.reshape(-1, side, right)).reshape(-1)
+    finally:
+        _set_blas_threads(threads)
     return amps
 
 

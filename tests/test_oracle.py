@@ -13,6 +13,7 @@ from quditbv import (
     decode_index,
     random_secret,
 )
+from quditbv.algorithm import _fourier_product
 from quditbv.oracle import _GATHER_CHUNK
 from quditbv.state import _Register
 
@@ -20,6 +21,34 @@ from quditbv.state import _Register
 def random_state(d, k, rng):
     raw = rng.normal(size=d**k) + 1j * rng.normal(size=d**k)
     return Statevector(raw / np.linalg.norm(raw), d, k)
+
+
+def sum_chain(state, secret):
+    """The paper's circuit: SUM from input qudit i to the target, s_i times."""
+    n = len(secret)
+    for pos, s in enumerate(secret, start=1):
+        for _ in range(s):
+            state = apply_sum(state, pos, n + 1)
+    return state.amplitudes
+
+
+def scatter_reference(state, secret):
+    """The query as its definition, out[x, (y + f(x)) % d] = in[x, y]: a scatter, where the oracle gathers."""
+    d, n = state.d, len(secret)
+    f = np.array(list(all_digit_strings(d, n))) @ np.array(secret) % d
+    rows = state.amplitudes.reshape(d**n, d)
+    expected = np.empty_like(rows)
+    expected[np.arange(d**n)[:, None], (np.arange(d) + f[:, None]) % d] = rows
+    return expected.reshape(-1)
+
+
+def assert_query_equals(state, secret, expected):
+    """The query of ``state``, out of place and in place on a register, equals ``expected``."""
+    oracle = LinearOracle(secret, state.d)
+    assert np.array_equal(oracle.apply_quantum(state).amplitudes, expected)
+    register = _Register(state.amplitudes.copy(), state.d, state.qudit_count)
+    assert oracle.apply_quantum(register) is register
+    assert np.array_equal(register.amplitudes, expected)
 
 
 @st.composite
@@ -114,29 +143,21 @@ class TestApplyQuantum:
             assert np.array_equal(out.amplitudes, state.amplitudes)
 
     def test_equals_chain_of_sum_gates(self):
-        # The paper's circuit: SUM from input qudit i to the target, s_i times.
         rng = np.random.default_rng(5)
         for d in range(2, 6):
             for n in (1, 2, 3):
                 secret = random_secret(d, n, rng)
                 state = random_state(d, n + 1, rng)
-                expected = state
-                for pos, s in enumerate(secret, start=1):
-                    for _ in range(s):
-                        expected = apply_sum(expected, pos, n + 1)
                 out = LinearOracle(secret, d).apply_quantum(state)
-                assert np.array_equal(out.amplitudes, expected.amplitudes), (d, secret)
+                assert np.array_equal(out.amplitudes, sum_chain(state, secret)), (d, secret)
         # Every secret of the smallest register; and at n = 1, d = 128 fills
         # one gather block exactly while d = 129 spills into a second.  They
         # are also the last and first d whose f is uint8 and uint16.
         for d in (2, 128, 129):
             state = random_state(d, 2, rng)
             for secret in ((int(rng.integers(d)),), (0,), (1,), (d - 1,)):
-                expected = state
-                for _ in range(secret[0]):
-                    expected = apply_sum(expected, 1, 2)
                 out = LinearOracle(secret, d).apply_quantum(state)
-                assert np.array_equal(out.amplitudes, expected.amplitudes), (d, secret)
+                assert np.array_equal(out.amplitudes, sum_chain(state, secret)), (d, secret)
 
     @pytest.mark.parametrize("d,n", [(2, 14), (3, 9), (7, 5)])
     def test_equals_chain_of_sum_gates_across_gather_blocks(self, d, n):
@@ -148,22 +169,26 @@ class TestApplyQuantum:
         rng = np.random.default_rng(d * n)
         state = random_state(d, n + 1, rng)
         for secret in (random_secret(d, n, rng), (0,) * n, (d - 1,) * n):
-            expected = state
-            for pos, s in enumerate(secret, start=1):
-                for _ in range(s):
-                    expected = apply_sum(expected, pos, n + 1)
-            out = LinearOracle(secret, d).apply_quantum(state)
-            assert np.array_equal(out.amplitudes, expected.amplitudes), secret
+            assert_query_equals(state, secret, sum_chain(state, secret))
 
     @pytest.mark.parametrize("d,n", [(2, 16), (3, 9)])
     def test_traced_peak_is_at_most_one_and_a_half_states(self, d, n, traced_peak):
-        # One output buffer, which the result adopts, plus f and one gather step.
+        # One output buffer, which the result adopts, plus the index tables and one gather step.
         rng = np.random.default_rng(d + n)
         secret = tuple(int(v) for v in rng.integers(1, d, size=n))
         oracle = LinearOracle(secret, d)
         state = random_state(d, n + 1, rng)
         _, peak = traced_peak(oracle.apply_quantum, state)
         assert peak <= 1.5 * state.amplitudes.nbytes
+
+    @pytest.mark.parametrize("d,n", [(2, 20), (16, 4), (64, 3)])
+    def test_in_place_query_holds_at_most_4_mib(self, d, n, traced_peak):
+        # Its tables hold at most d pieces of index entries, and its scratch
+        # one gather block, whatever the register size.
+        oracle = LinearOracle(random_secret(d, n, np.random.default_rng(d)), d)
+        register = _Register(_fourier_product((0,) * n + (d - 1,), d), d, n + 1)
+        _, peak = traced_peak(oracle.apply_quantum, register)
+        assert peak <= 4 * 2**20
 
     @pytest.mark.parametrize("d,n", [(2, 1), (5, 2), (2, 14), (3, 9), (7, 5), (129, 1)])
     def test_in_place_query_equals_out_of_place(self, d, n):
@@ -195,28 +220,57 @@ class TestApplyQuantum:
         d, n, secret = data.draw(small_instances(), label="instance")
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
         state = random_state(d, n + 1, rng)
-        expected = state
-        for pos, s in enumerate(secret, start=1):
-            for _ in range(s):
-                expected = apply_sum(expected, pos, n + 1)
-        out = LinearOracle(secret, d).apply_quantum(state)
-        assert np.array_equal(out.amplitudes, expected.amplitudes)
+        assert_query_equals(state, secret, sum_chain(state, secret))
 
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())
     def test_property_equals_scatter_reference(self, data):
-        # The query as its definition, out[x, (y + f(x)) % d] = in[x, y]: a
-        # scatter, where the oracle gathers.
         d, n = data.draw(st.sampled_from(GATHER_SHAPES), label="shape")
         secret = tuple(data.draw(st.lists(st.integers(0, d - 1), min_size=n, max_size=n), label="s"))
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
         state = random_state(d, n + 1, rng)
-        f = np.array(list(all_digit_strings(d, n))) @ np.array(secret) % d
-        rows = state.amplitudes.reshape(d**n, d)
-        expected = np.empty_like(rows)
-        expected[np.arange(d**n)[:, None], (np.arange(d) + f[:, None]) % d] = rows
-        out = LinearOracle(secret, d).apply_quantum(state)
-        assert np.array_equal(out.amplitudes, expected.reshape(-1))
+        assert_query_equals(state, secret, scatter_reference(state, secret))
+
+    # With gather blocks of 64 amplitudes (pieces of 32), registers of up to
+    # 4096 take every route of the query: one block and one table (at most
+    # 64 amplitudes); several blocks of one group of rows each (d = 2, 3, 5);
+    # blocks of several groups (d = 4, 8..32); and groups of one row,
+    # since d**2 exceeds a piece (d >= 6).
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_property_equals_chain_of_sum_gates_in_small_blocks(self, data):
+        d, n, secret = data.draw(small_instances(), label="instance")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        state = random_state(d, n + 1, rng)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr("quditbv.oracle._GATHER_CHUNK", 64)
+            assert_query_equals(state, secret, sum_chain(state, secret))
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_property_equals_scatter_reference_in_small_blocks(self, data):
+        d, n, secret = data.draw(small_instances(), label="instance")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        state = random_state(d, n + 1, rng)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr("quditbv.oracle._GATHER_CHUNK", 64)
+            assert_query_equals(state, secret, scatter_reference(state, secret))
+
+    @pytest.mark.parametrize(
+        "d,n",
+        [(2, 5), (3, 2), (2, 7), (3, 5), (5, 3), (4, 4), (8, 2), (6, 2), (7, 3), (64, 1)],
+    )
+    def test_every_route_in_small_blocks(self, d, n, monkeypatch):
+        # The routes above, each on its boundary secrets and a random one:
+        # one block (2, 5) and (3, 2); one group per block (2, 7), (3, 5) and
+        # (5, 3); several groups per block (4, 4) and (8, 2); one row per
+        # group (6, 2), (7, 3) and (64, 1).
+        monkeypatch.setattr("quditbv.oracle._GATHER_CHUNK", 64)
+        rng = np.random.default_rng(d * 10 + n)
+        state = random_state(d, n + 1, rng)
+        for secret in (random_secret(d, n, rng), (0,) * n, (d - 1,) * n):
+            assert_query_equals(state, secret, scatter_reference(state, secret))
+            assert_query_equals(state, secret, sum_chain(state, secret))
 
     def test_register_size_mismatch_rejected(self):
         oracle = LinearOracle((1, 2), 3)
