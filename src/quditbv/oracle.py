@@ -112,18 +112,21 @@ def _gather_rotated(src: np.ndarray, out: np.ndarray, secret: tuple[int, ...], d
     tables (only ``tables[0]`` on a register of one block, whose lead is
     empty) are built once from the ``d**m`` low inputs, and ``f_lead`` over
     the other ``d**(n-m)``, so no ``f`` of all ``d**n`` inputs is formed.
+    When ``d**2`` exceeds a piece, ``m`` is 0 and each group is one row,
+    whose tables are the rows of ``windows`` below, a view.
 
     A block is as many groups as fit in a piece.  A block of one group is
     one ``np.take`` through its table; the index of a longer one, such as a
-    block of rows when ``d**2`` exceeds a piece and each group is one row,
-    is its groups' tables, each offset to its group.  Each block is
-    gathered straight into ``out``, or, when ``out`` is ``src`` itself, into
-    a scratch block that is then copied back.
+    block of rows, is its groups' tables, each offset to its group.  Each
+    block is gathered straight into ``out``, or, when ``out`` is ``src``
+    itself, into a scratch block that is then copied back.
 
-    The tables hold at most ``d`` pieces of index entries, and at most
-    ``d**(m+2) <= d**(n+1)`` of them at 8 bytes each: never more than half
-    the register that the caller has already charged to the budget.  The
-    workers' scratch blocks add up to one ``_GATHER_CHUNK``.
+    Tables are built only for groups of more than one row, so for
+    ``d**2 <= piece``: they hold at most ``d`` pieces of index entries, at
+    most ``piece**1.5`` (5.6 MiB at 8 bytes each), and at most
+    ``d**(m+2) <= d**(n+1)``, never more than half the register that the
+    caller has already charged to the budget.  The workers' scratch blocks
+    add up to one ``_GATHER_CHUNK``.
     """
     n = len(secret)
     piece, workers = _split(src.size, _GATHER_CHUNK)
@@ -138,11 +141,14 @@ def _gather_rotated(src: np.ndarray, out: np.ndarray, secret: tuple[int, ...], d
     # into 0..d-1 written twice, so row d - (f_low(r) + c) mod d holds them.
     twice = np.arange(2 * d) % d
     windows = np.ndarray((d + 1, d), twice.dtype, twice, strides=(twice.itemsize,) * 2)
-    shift = low if lead.size == 1 else (low + np.arange(d)[:, None]) % d
     group = low.size * d  # amplitudes per group
-    tables = windows[d - shift]
-    tables += np.arange(0, group, d)[:, None]  # the start of each row
-    tables = tables.reshape(-1, group)
+    if low.size == 1:  # groups of one row: tables[c] is row d - c of windows
+        tables = windows[d:0:-1]
+    else:
+        shift = low if lead.size == 1 else (low + np.arange(d)[:, None]) % d
+        tables = windows[d - shift]
+        tables += np.arange(0, group, d)[:, None]  # the start of each row
+        tables = tables.reshape(-1, group)
     per = min(max(1, piece // group), lead.size)  # groups per block
     offsets = np.arange(0, per * group, group)[:, None]
     scratch = np.empty((workers, per * group), src.dtype) if out is src else None

@@ -181,10 +181,11 @@ class TestApplyQuantum:
         _, peak = traced_peak(oracle.apply_quantum, state)
         assert peak <= 1.5 * state.amplitudes.nbytes
 
-    @pytest.mark.parametrize("d,n", [(2, 20), (16, 4), (64, 3)])
+    @pytest.mark.parametrize("d,n", [(2, 20), (16, 4), (64, 3), (1024, 1)])
     def test_in_place_query_holds_at_most_4_mib(self, d, n, traced_peak):
         # Its tables hold at most d pieces of index entries, and its scratch
-        # one gather block, whatever the register size.
+        # one gather block, whatever the register size; at d = 1024 each
+        # group is one row, whose tables are views.
         oracle = LinearOracle(random_secret(d, n, np.random.default_rng(d)), d)
         register = _Register(_fourier_product((0,) * n + (d - 1,), d), d, n + 1)
         _, peak = traced_peak(oracle.apply_quantum, register)
