@@ -5,9 +5,9 @@ The quantum pipeline, for an oracle on ``n`` input qudits of dimension ``d``:
 1. start in |0...0>|d-1>;
 2. apply the forward Fourier gate to every qudit (the last qudit becomes the
    phase-kickback state): the result is the Fourier basis state labeled
-   ``0...0, d-1``, built directly as a product of Fourier columns;
+   ``0...0, d-1``, built directly as a tile of the kickback row;
 3. query the oracle once, which multiplies each input branch |x> by the
-   phase ``omega**f(x)``;
+   phase ``omega**f(x)`` and rewrites a copy of the register in place;
 4. apply the inverse Fourier gate to the first ``n`` qudits, collapsing the
    input register exactly onto the secret string.
 
@@ -18,27 +18,27 @@ probabilities, guarded so the peak must carry essentially all of the weight;
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .budget import check_capacity
-from .errors import ConsistencyError, DomainError
+from .errors import ConsistencyError, DomainError, check_type
 from .gates import _check_position, apply_local_gate, fourier_matrix, omega_powers
 from .oracle import LinearOracle
-from .state import _BLOCK, Statevector, _Owned, _Register, _split, _spread, decode_index, validate_digits
+from .state import Statevector, _Owned, _Register, _split, _spread, decode_index, validate_digits
 
 TOL_STATE = 1e-9
 PEAK_PROBABILITY_FLOOR = 1.0 - TOL_STATE
-# Rows of fewer digits than this are swept strided: prep's expansion and the
-# readout's row sums make one call per digit of a row, each over every row
-# of a block, rather than one broadcast call whose inner loop is one row.
-# Strided, prep and readout took 0.041 and 0.032 s at d=2, n=22 against
-# 0.104 and 0.079 s broadcast, and 0.025 and 0.016 s at d=7, n=7 against
-# 0.026 and 0.022 s; at d=8, n=7 prep took 0.102 s against 0.082 s (2 vCPUs,
-# median of 3 best-of-2).  From d=8 on, numpy's pairwise sum also adds a
-# row in another order than the strided sums, so the readout's bits differ.
+# Rows of fewer digits than this are swept strided: the readout's row sums
+# make one call per digit of a row, each over every row of a block, rather
+# than one broadcast call whose inner loop is one row.  Strided, the readout
+# took 0.032 s at d=2, n=22 against 0.079 s broadcast, and 0.016 s at d=7,
+# n=7 against 0.022 s (2 vCPUs, median of 3 best-of-2).  From d=8 on,
+# numpy's pairwise sum adds a row in another order than the strided sums,
+# so the readout's bits differ.
 _SHORT_ROW = 8
 
 
@@ -89,87 +89,53 @@ def fourier_basis_state(s: Sequence[int], d: int) -> Statevector:
 
     Amplitude of |x> is ``omega**((s . x) mod d) / sqrt(d**n)``: the product of
     the Fourier gate's columns ``s_1 ... s_n`` (bit for bit those of
-    :func:`fourier_matrix`), each entry multiplied by the columns in order,
-    left to right (see :func:`_fourier_product`).  These states
-    are exactly orthonormal; the pipeline starts from the one labeled
-    ``0...0, d-1`` and maps the secret onto ``s`` before its inverse readout.
+    :func:`fourier_matrix`) by one broadcast multiply per column, left to
+    right.  These states are exactly orthonormal; the pipeline starts from
+    the one labeled ``0...0, d-1``, as a tile of the kickback row, and maps
+    the secret onto ``s`` before its inverse readout.
     """
     s = validate_digits(s, d)
     return Statevector(_Owned(_fourier_product(s, d)), d, len(s))
 
 
 def _fourier_product(s: tuple[int, ...], d: int) -> np.ndarray:
-    """The amplitudes of :func:`fourier_basis_state`, as a new array.
-
-    The product of the first columns is built by broadcast multiplies while
-    it fits in ``_BLOCK`` entries; a register of one block is that product.
-    A larger one is expanded inside its own array.  Its ``d**j`` head
-    entries, the product of ``j`` columns, are cut into jobs of one piece
-    (see :func:`~quditbv.state._split`) over ``d``; the entries of each job
-    open the part of the array they expand into, and the jobs run on
-    separate threads.  Within its part, each further column turns entry
-    ``x`` into entries ``x*d .. x*d + d-1``, a block at a time from the top
-    down, so no entry is overwritten before it is read, and every entry is
-    multiplied by the columns in order, left to right.  A block whose output
-    overlaps it, the lowest, is read from a copy of at most a piece over
-    ``d`` entries.  Below ``_SHORT_ROW`` a block is expanded by one multiply
-    per column entry ``j``, which writes every ``d``-th entry of the block's
-    output from ``j`` on; from it on, by one broadcast multiply.  Both make
-    the same products, so the bits are the same.
-    """
+    """The amplitudes of :func:`fourier_basis_state`, as a new array."""
     check_capacity(d ** len(s), "Fourier basis state")
     columns = omega_powers(d)[np.multiply.outer(s, np.arange(d)) % d] / np.sqrt(d)
-    head = 1
-    while head < len(s) and d ** (head + 1) <= _BLOCK:
-        head += 1
     amps = columns[0]
-    for column in columns[1:head]:
+    for column in columns[1:]:
         amps = (amps[:, None] * column).reshape(-1)
-    if head == len(s):
-        return amps
-    out = np.empty(d ** len(s), np.complex128)
-    piece, workers = _split(out.size)
-    step = max(1, piece // d)
-    heads, run = amps.size, out.size // amps.size  # run: the entries one head entry expands into
-    for first in range(0, heads, step):  # each job's head entries open its own part of out
-        block = amps[first : first + step]
-        out[first * run : first * run + block.size] = block
-    del amps, block
+    return amps
 
-    def expand(first: int, w: int) -> None:
-        part = out[first * run : (first + step) * run]
-        size = min(step, heads - first)
-        for column in columns[head:]:
-            for hi in range(size, 0, -step):
-                lo = max(hi - step, 0)
-                block = part[lo:hi] if lo * d >= hi else part[lo:hi].copy()
-                if d < _SHORT_ROW:
-                    for j in range(d):
-                        np.multiply(block, column[j], out=part[lo * d + j : hi * d : d])
-                else:
-                    np.multiply(block[:, None], column, out=part[lo * d : hi * d].reshape(-1, d))
-            size *= d
 
-    _spread(expand, range(0, heads, step), workers)
-    return out
+def _pre_query(d: int, n: int) -> np.ndarray:
+    """The amplitudes of ``fourier_basis_state((0,) * n + (d - 1,), d)``, unbudgeted.
+
+    Each input row is the kickback column times the product of ``n``
+    entries ``1/sqrt(d)``, formed in the order the column product forms
+    it, so one tile of that row has the same bits.
+    """
+    weight = math.prod([1 / np.sqrt(d)] * n)  # multiplied left to right
+    return np.tile(weight * _fourier_product((d - 1,), d), d**n)
 
 
 def quantum_bv_states(oracle: LinearOracle) -> QuantumTrace:
     """Run the quantum pipeline once and keep the state it ends in.
 
     Applies the oracle exactly once and one gate layer, all in one register
-    that the solve owns: the pre-query state is expanded inside it, and the
-    query and the layer each rewrite it in place through a scratch block.
-    The trace hands it on as a read-only ``final``.  Raises a capacity error
-    before allocating if ``d**(n+1)`` exceeds the amplitude budget.
+    that the solve owns: a tile of the kickback row, which the query and the
+    layer each rewrite in place through a scratch block.  The trace hands it
+    on as a read-only ``final``.  Raises a capacity error before allocating
+    if ``d**(n+1)`` exceeds the amplitude budget.
 
-    Each stage sweeps a register of more than one block in fixed pieces, on
-    as many threads as numpy's BLAS is given (at most ``_SHARES``); ``final``
-    is the same, bit for bit, at every thread count.
+    The query and the layer sweep a register of more than one block in fixed
+    pieces, on as many threads as numpy's BLAS is given (at most
+    ``_SHARES``); ``final`` is the same, bit for bit, at every thread count.
     """
+    check_type(oracle, LinearOracle, "oracle")
     d, n = oracle.d, oracle.n
     check_capacity(d ** (n + 1), "pipeline register")
-    register = _Register(_fourier_product((0,) * n + (d - 1,), d), d, n + 1)
+    register = _Register(_pre_query(d, n), d, n + 1)
     register = oracle.apply_quantum(register)
     register = apply_local_gate(register, fourier_matrix(d).adjoint(), *range(1, n + 1))
     return QuantumTrace(Statevector(_Owned(register.amplitudes), d, n + 1))
@@ -192,13 +158,8 @@ def marginal_probabilities(state: Statevector, qudits: Sequence[int]) -> np.ndar
     summed as its strided columns, ``sq[0::d] + sq[1::d] + ...`` in order:
     the same adds, in the same order, as a row-wise reduce at that ``d``.
     """
-    if not isinstance(state, Statevector):
-        raise DomainError(f"state must be a Statevector, got {type(state).__name__}")
-    k = state.qudit_count
-    try:
-        kept = [_check_position(q, k, "qudit position") for q in qudits]
-    except TypeError:
-        raise DomainError(f"qudit positions must be a sequence of integers, got {qudits!r}") from None
+    k = check_type(state, Statevector, "state").qudit_count
+    kept = [_check_position(q, k, "qudit position") for q in _positions(qudits)]
     if not kept:
         raise DomainError("at least one qudit must be kept")
     if len(set(kept)) != len(kept):
@@ -240,6 +201,14 @@ def marginal_probabilities(state: Statevector, qudits: Sequence[int]) -> np.ndar
     return probs
 
 
+def _positions(qudits: Sequence[int]) -> tuple[int, ...]:
+    """The qudit positions as a tuple, their checks left to :func:`_check_position`."""
+    try:
+        return tuple(qudits)
+    except TypeError:
+        raise DomainError(f"qudit positions must be a sequence of integers, got {qudits!r}") from None
+
+
 def measure_register(
     state: Statevector, qudits: Sequence[int], rng: np.random.Generator
 ) -> MeasurementOutcome:
@@ -248,7 +217,8 @@ def measure_register(
     Deterministic for a given generator state: one uniform draw is placed in
     the cumulative distribution over ascending basis indices.
     """
-    qudits = tuple(qudits)
+    check_type(rng, np.random.Generator, "rng")
+    qudits = _positions(qudits)
     probs = marginal_probabilities(state, qudits)
     cdf = np.cumsum(probs)
     cdf[-1] = max(cdf[-1], 1.0)
@@ -268,7 +238,7 @@ def run_quantum_bv(oracle: LinearOracle, seed: int = 0) -> RunReport:
     pipeline draws nothing at random: ``seed`` is ignored and accepted only
     so that callers passing it positionally keep working.
     """
-    queries_before = oracle.query_count
+    queries_before = check_type(oracle, LinearOracle, "oracle").query_count
     trace = quantum_bv_states(oracle)
     probs = marginal_probabilities(trace.final, range(1, oracle.n + 1))
     peak_index = int(np.argmax(probs))
@@ -295,7 +265,7 @@ def run_classical_bv(oracle: LinearOracle) -> RunReport:
     Querying the i-th unit string returns ``(s . e_i) mod d = s_i`` directly,
     so the recovered digits are exact and the peak probability is 1.
     """
-    queries_before = oracle.query_count
+    queries_before = check_type(oracle, LinearOracle, "oracle").query_count
     n = oracle.n
     recovered = []
     for i in range(n):

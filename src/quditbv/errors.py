@@ -1,6 +1,10 @@
-"""Exception types shared across the package, and the integer validator that raises them."""
+"""Exception types shared across the package, and the argument validators that raise them."""
+
+from typing import TypeVar
 
 import numpy as np
+
+_T = TypeVar("_T")
 
 
 class QuditError(Exception):
@@ -31,4 +35,11 @@ def check_int(value: int, label: str, minimum: int | None = None) -> int:
         value = int(value)
     if minimum is not None and value < minimum:
         raise DomainError(f"{label} must be at least {minimum}, got {value!r}")
+    return value
+
+
+def check_type(value: object, cls: type[_T], label: str) -> _T:
+    """Raise ``DomainError`` unless ``value`` is an instance of ``cls``; return it."""
+    if not isinstance(value, cls):
+        raise DomainError(f"{label} must be a {cls.__name__}, got {type(value).__name__}")
     return value

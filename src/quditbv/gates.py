@@ -33,7 +33,7 @@ from typing import Sequence
 import numpy as np
 
 from .budget import check_capacity
-from .errors import CapacityError, DomainError, check_int
+from .errors import CapacityError, DomainError, check_int, check_type
 from .state import (
     _BLOCK,
     Statevector,
@@ -225,10 +225,8 @@ def apply_local_gate(state: Statevector, gate: GateMatrix, pos: int, *more: int)
     passes, bit for bit under OpenBLAS's SkylakeX kernel (see ``_ALIGN``),
     and the same products at every BLAS thread count under any kernel.
     """
-    if not isinstance(state, Statevector):
-        raise DomainError(f"state must be a Statevector, got {type(state).__name__}")
-    if not isinstance(gate, GateMatrix):
-        raise DomainError(f"gate must be a GateMatrix, got {type(gate).__name__}")
+    check_type(state, Statevector, "state")
+    check_type(gate, GateMatrix, "gate")
     if gate.d != state.d:
         raise DomainError(f"gate dimension {gate.d} does not match state dimension {state.d}")
     if gate.qudit_span != 1:
@@ -361,7 +359,7 @@ def apply_sum(state: Statevector, control: int, target: int) -> Statevector:
     rotated along the target axis by two slice copies, so every output
     amplitude is written exactly once, and no matrix or index array is formed.
     """
-    k = state.qudit_count
+    k = check_type(state, Statevector, "state").qudit_count
     control = _check_position(control, k, "control")
     target = _check_position(target, k, "target")
     if control == target:
@@ -402,7 +400,7 @@ def dense_operator(ops: Sequence[tuple[GateMatrix, Sequence[int]]], qudit_count:
     """
     if not ops:
         raise DomainError("dense_operator needs at least one gate")
-    d = ops[0][0].d
+    d = check_type(ops[0][0], GateMatrix, "gate").d
     k = check_int(qudit_count, "qudit_count", minimum=1)
     dim = d**k
     if dim > DENSE_DIM_LIMIT:
@@ -413,7 +411,7 @@ def dense_operator(ops: Sequence[tuple[GateMatrix, Sequence[int]]], qudit_count:
     check_capacity(dim * dim, "dense operator")
     total = np.eye(dim, dtype=np.complex128)
     for gate, positions in ops:
-        if gate.d != d:
+        if check_type(gate, GateMatrix, "gate").d != d:
             raise DomainError(f"mixed gate dimensions {d} and {gate.d}")
         positions = [_check_position(p, k) for p in positions]
         if gate.qudit_span != len(positions):

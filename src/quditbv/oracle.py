@@ -16,8 +16,8 @@ exposes the function ``f(x) = (s . x) mod d`` in two forms:
   The query equals the chain of :func:`~quditbv.gates.apply_sum` calls
   exactly, which shares no code with it.  The blocks of a large register
   are spread over as many threads as numpy's BLAS is given, each through its
-  own share of the scratch block.  It rewrites the register a solver owns in
-  place, and writes any other state's image into a new one.
+  own share of the scratch block.  The query rewrites a copy in place; the
+  register a solver owns is rewritten as it is.
 
 Each call counts as exactly one query, no matter how large a superposition a
 quantum call touches.  Solvers must recover ``s`` through queries alone; the
@@ -33,8 +33,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DomainError, check_int
-from .state import Statevector, _output, _result, _split, _spread, check_dimension, validate_digits
+from .errors import DomainError, check_int, check_type
+from .state import Statevector, _Register, _result, _split, _spread, check_dimension, validate_digits
 
 # A quantum query of more than this many amplitudes goes in pieces of half of
 # it, and a group of rows that shares one index table fits in a piece: the
@@ -83,25 +83,26 @@ class LinearOracle:
         from each input qudit ``i`` to the target.  It runs as one gather:
         each output amplitude is read once, a block of inputs at a time,
         from the target row of its input rotated by ``f(x)``, through index
-        tables built once per call.  The input is left unchanged and the
-        result is a new state (only the solver's own register is rewritten
-        in place).
+        tables built once per call.  The query rewrites a copy in place: the
+        input is left unchanged and the result is a new state that adopts
+        the copy (only the solver's own register is rewritten as it is).
         """
         d, n = self._d, self._n
+        check_type(state, Statevector, "state")
         if state.d != d:
             raise DomainError(f"state dimension {state.d} does not match oracle dimension {d}")
         if state.qudit_count != n + 1:
             raise DomainError(
                 f"oracle acts on {n + 1} qudits, got a state of {state.qudit_count}"
             )
-        out = _output(state)
-        _gather_rotated(state.amplitudes, out, self.__secret, d)
+        amps = state.amplitudes if isinstance(state, _Register) else state.amplitudes.copy()
+        _gather_rotated(amps, self.__secret, d)
         self._query_count += 1
-        return _result(state, out)
+        return _result(state, amps)
 
 
-def _gather_rotated(src: np.ndarray, out: np.ndarray, secret: tuple[int, ...], d: int) -> None:
-    """All ``SUM**s_i`` gates as one gather into ``out``: target row ``x`` of ``src`` rotated by ``f(x)``.
+def _gather_rotated(register: np.ndarray, secret: tuple[int, ...], d: int) -> None:
+    """All ``SUM**s_i`` gates as one gather, in place: target row ``x`` of ``register`` rotated by ``f(x)``.
 
     ``f`` splits over the big-endian input digits into a lead and a low
     part, ``f(x) = (f_lead(x_lead) + f_low(x_low)) mod d``, where the low
@@ -118,8 +119,8 @@ def _gather_rotated(src: np.ndarray, out: np.ndarray, secret: tuple[int, ...], d
     A block is as many groups as fit in a piece.  A block of one group is
     one ``np.take`` through its table; the index of a longer one, such as a
     block of rows, is its groups' tables, each offset to its group.  Each
-    block is gathered straight into ``out``, or, when ``out`` is ``src``
-    itself, into a scratch block that is then copied back.
+    block is gathered into the worker's share of a scratch block, which is
+    then copied back over it.
 
     Tables are built only for groups of more than one row, so for
     ``d**2 <= piece``: they hold at most ``d`` pieces of index entries, at
@@ -129,7 +130,7 @@ def _gather_rotated(src: np.ndarray, out: np.ndarray, secret: tuple[int, ...], d
     add up to one ``_GATHER_CHUNK``.
     """
     n = len(secret)
-    piece, workers = _split(src.size, _GATHER_CHUNK)
+    piece, workers = _split(register.size, _GATHER_CHUNK)
     m = n  # the low digits: the most, down to none, whose rows fit a piece
     while m and d ** (m + 1) > piece:
         m -= 1
@@ -151,7 +152,7 @@ def _gather_rotated(src: np.ndarray, out: np.ndarray, secret: tuple[int, ...], d
         tables = tables.reshape(-1, group)
     per = min(max(1, piece // group), lead.size)  # groups per block
     offsets = np.arange(0, per * group, group)[:, None]
-    scratch = np.empty((workers, per * group), src.dtype) if out is src else None
+    scratch = np.empty((workers, per * group), register.dtype)
 
     def gather(g: int, w: int) -> None:
         lo, hi = g * group, min(g + per, lead.size) * group
@@ -160,11 +161,10 @@ def _gather_rotated(src: np.ndarray, out: np.ndarray, secret: tuple[int, ...], d
         else:
             index = tables[lead[g : g + per]]
             index += offsets[: index.shape[0]]
-        rows = out[lo:hi] if scratch is None else scratch[w, : hi - lo]
+        rows = scratch[w, : hi - lo]
         # Indices are in range; mode="raise" would buffer the output.
-        np.take(src[lo:hi], index, out=rows.reshape(index.shape), mode="clip")
-        if scratch is not None:
-            out[lo:hi] = rows
+        np.take(register[lo:hi], index, out=rows.reshape(index.shape), mode="clip")
+        register[lo:hi] = rows
 
     _spread(gather, range(0, lead.size, per), workers)
 

@@ -22,7 +22,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .budget import check_capacity
-from .errors import DomainError, check_int
+from .errors import DomainError, check_int, check_type
 
 # Amplitudes a blocked pass over a register handles at a time: 1 MiB, so a
 # block stays in cache while it is worked on.  For the layer's scratch block,
@@ -295,6 +295,8 @@ def basis_state(digits: Sequence[int], d: int) -> Statevector:
 
 def tensor(a: Statevector, b: Statevector) -> Statevector:
     """Tensor product: ``a``'s qudits become positions 1..k_a, ``b``'s follow."""
+    check_type(a, Statevector, "a")
+    check_type(b, Statevector, "b")
     if a.d != b.d:
         raise DomainError(f"cannot tensor states of dimension {a.d} and {b.d}")
     check_capacity(a.size * b.size, "tensor product")
@@ -305,6 +307,8 @@ def tensor(a: Statevector, b: Statevector) -> Statevector:
 
 def inner_product(a: Statevector, b: Statevector) -> complex:
     """Complex inner product <a|b>, conjugating ``a``."""
+    check_type(a, Statevector, "a")
+    check_type(b, Statevector, "b")
     if a.d != b.d or a.qudit_count != b.qudit_count:
         raise DomainError(
             "inner product needs matching registers, got "

@@ -27,6 +27,7 @@ from quditbv import (
     set_amplitude_budget,
     tensor,
 )
+from quditbv.algorithm import _pre_query
 from quditbv.verification import TOL_ALGEBRA
 
 
@@ -103,8 +104,8 @@ class TestFourierBasisState:
 
     @pytest.mark.parametrize("d,n", [(2, 18), (17, 4), (16, 5), (256, 2)])
     def test_equals_the_broadcast_product_of_columns(self, d, n):
-        # Past one block the product is expanded inside its own array; at
-        # d=17 the last expansion spans two blocks, and (256, 2) is one block.
+        # One broadcast multiply per column at every size, from one block at
+        # (256, 2) to sixteen at (16, 5).
         label = random_secret(d, n, np.random.default_rng(d + n))
         columns = fourier_matrix(d).entries[:, label].T
         expected = columns[0]
@@ -163,6 +164,16 @@ class TestQuantumTrace:
             post_oracle = LinearOracle(secret, d).apply_quantum(pre_query_state(d, n))
             expected = tensor(fourier_basis_state(secret, d), kickback_state(d))
             assert np.max(np.abs(post_oracle.amplitudes - expected.amplitudes)) <= 1e-9
+
+    @pytest.mark.parametrize("d,n", [(2, 18), (16, 4)])
+    def test_prep_traced_peak_is_one_state(self, d, n, traced_peak):
+        # One tile of the kickback row: nothing beside the register but the row.
+        amps, peak = traced_peak(_pre_query, d, n)
+        assert peak <= 1.01 * amps.nbytes
+
+    @pytest.mark.parametrize("d,n", [(2, 18), (16, 4), (3, 9), (7, 1)])
+    def test_prep_equals_the_labeled_fourier_state(self, d, n):
+        assert np.array_equal(_pre_query(d, n), pre_query_state(d, n).amplitudes)
 
     def test_post_fourier_is_uniform_on_inputs(self):
         amplitudes = pre_query_state(3, 2).amplitudes

@@ -7,13 +7,23 @@ from quditbv import (
     DEFAULT_AMPLITUDE_BUDGET,
     CapacityError,
     DomainError,
+    LinearOracle,
     Statevector,
     all_digit_strings,
     amplitude_budget,
+    apply_local_gate,
+    apply_sum,
     basis_state,
     decode_index,
+    dense_operator,
     encode_digits,
+    fourier_matrix,
     inner_product,
+    marginal_probabilities,
+    measure_register,
+    quantum_bv_states,
+    run_classical_bv,
+    run_quantum_bv,
     set_amplitude_budget,
     tensor,
 )
@@ -243,3 +253,25 @@ class TestInnerProduct:
             aa = inner_product(a, a)
             assert abs(aa.imag) <= 1e-12
             assert aa.real >= 0
+
+
+WRONG_TYPES = {
+    "apply_sum": lambda s: apply_sum(np.zeros(4), 1, 2),
+    "apply_quantum": lambda s: LinearOracle((1,), 2).apply_quantum(np.zeros(4)),
+    "tensor": lambda s: tensor(s, np.zeros(4)),
+    "inner_product": lambda s: inner_product(s, [1, 0, 0, 0]),
+    "dense_operator": lambda s: dense_operator([(np.eye(2), (1,))], 1),
+    "run_quantum_bv": lambda s: run_quantum_bv((1, 0)),
+    "run_classical_bv": lambda s: run_classical_bv((1, 0)),
+    "quantum_bv_states": lambda s: quantum_bv_states((1, 0)),
+    "measure_register qudits": lambda s: measure_register(s, 3, np.random.default_rng(0)),
+    "measure_register rng": lambda s: measure_register(s, (1,), 0),
+    "apply_local_gate": lambda s: apply_local_gate(s, np.eye(2), 1),
+    "marginal_probabilities": lambda s: marginal_probabilities(np.zeros(4), (1,)),
+}
+
+
+@pytest.mark.parametrize("call", WRONG_TYPES.values(), ids=WRONG_TYPES)
+def test_public_entries_reject_a_wrong_type(call):
+    with pytest.raises(DomainError, match="must be a"):
+        call(basis_state((0, 1), 2))
