@@ -8,8 +8,8 @@ The quantum pipeline, for an oracle on ``n`` input qudits of dimension ``d``:
    ``0...0, d-1``, built directly as a tile of the kickback row;
 3. query the oracle once, which multiplies each input branch |x> by the
    phase ``omega**f(x)`` and rewrites a copy of the register in place;
-4. apply the inverse Fourier gate to the first ``n`` qudits, collapsing the
-   input register exactly onto the secret string.
+4. apply the inverse Fourier gate (the conjugated columns) to the first ``n``
+   qudits, collapsing the input register exactly onto the secret string.
 
 Readout on the acceptance path is the argmax of the input-register
 probabilities, guarded so the peak must carry essentially all of the weight;
@@ -26,7 +26,7 @@ import numpy as np
 
 from .budget import check_capacity
 from .errors import ConsistencyError, DomainError, check_type
-from .gates import _check_position, apply_local_gate, fourier_matrix, omega_powers
+from .gates import GateMatrix, _check_position, _fourier_columns, apply_local_gate
 from .oracle import LinearOracle
 from .state import Statevector, _Owned, _Register, _split, _spread, decode_index, validate_digits
 
@@ -68,8 +68,9 @@ class QuantumTrace:
 
     ``final`` is the solve's one register, handed on read-only once the
     inverse layer has rewritten it; no earlier state of the pipeline is
-    kept.  The state after the query is
-    ``oracle.apply_quantum(fourier_basis_state((0,) * n + (d - 1,), d))``.
+    kept.  The register starts as the amplitudes of
+    ``fourier_basis_state((0,) * n + (d - 1,), d)``, bit for bit, so the
+    state after the query is that state's ``oracle.apply_quantum``.
     """
 
     final: Statevector
@@ -90,43 +91,37 @@ def fourier_basis_state(s: Sequence[int], d: int) -> Statevector:
     Amplitude of |x> is ``omega**((s . x) mod d) / sqrt(d**n)``: the product of
     the Fourier gate's columns ``s_1 ... s_n`` (bit for bit those of
     :func:`fourier_matrix`) by one broadcast multiply per column, left to
-    right.  These states are exactly orthonormal; the pipeline starts from
-    the one labeled ``0...0, d-1``, as a tile of the kickback row, and maps
-    the secret onto ``s`` before its inverse readout.
+    right, with leading zeros tiled (see :func:`_fourier_product`).  These
+    states are exactly orthonormal; the pipeline starts from the one labeled
+    ``0...0, d-1`` and maps the secret onto ``s`` before its inverse readout.
     """
     s = validate_digits(s, d)
+    check_capacity(d ** len(s), "Fourier basis state")
     return Statevector(_Owned(_fourier_product(s, d)), d, len(s))
 
 
 def _fourier_product(s: tuple[int, ...], d: int) -> np.ndarray:
-    """The amplitudes of :func:`fourier_basis_state`, as a new array."""
-    check_capacity(d ** len(s), "Fourier basis state")
-    columns = omega_powers(d)[np.multiply.outer(s, np.arange(d)) % d] / np.sqrt(d)
-    amps = columns[0]
+    """The amplitudes of :func:`fourier_basis_state`, as a new array, unbudgeted.
+
+    Leading zeros have the constant column ``1/sqrt(d)``: their product scales
+    the next column, and the rest's product is tiled, with the same bits.
+    """
+    zeros = next((i for i, digit in enumerate(s[:-1]) if digit), len(s) - 1)
+    columns = _fourier_columns(s[zeros:], d)
+    amps = columns[0] * math.prod([1 / np.sqrt(d)] * zeros) if zeros else columns[0]
     for column in columns[1:]:
         amps = (amps[:, None] * column).reshape(-1)
-    return amps
-
-
-def _pre_query(d: int, n: int) -> np.ndarray:
-    """The amplitudes of ``fourier_basis_state((0,) * n + (d - 1,), d)``, unbudgeted.
-
-    Each input row is the kickback column times the product of ``n``
-    entries ``1/sqrt(d)``, formed in the order the column product forms
-    it, so one tile of that row has the same bits.
-    """
-    weight = math.prod([1 / np.sqrt(d)] * n)  # multiplied left to right
-    return np.tile(weight * _fourier_product((d - 1,), d), d**n)
+    return np.repeat(amps[None], d**zeros, axis=0).reshape(-1) if zeros else amps
 
 
 def quantum_bv_states(oracle: LinearOracle) -> QuantumTrace:
     """Run the quantum pipeline once and keep the state it ends in.
 
     Applies the oracle exactly once and one gate layer, all in one register
-    that the solve owns: a tile of the kickback row, which the query and the
-    layer each rewrite in place through a scratch block.  The trace hands it
-    on as a read-only ``final``.  Raises a capacity error before allocating
-    if ``d**(n+1)`` exceeds the amplitude budget.
+    that the solve owns: the Fourier basis state labeled ``0...0, d-1``, which
+    the query and the layer (the solve's one gate build) rewrite in place
+    through a scratch block.  The trace hands it on as a read-only ``final``.
+    Raises a capacity error before allocating if ``d**(n+1)`` is over budget.
 
     The query and the layer sweep a register of more than one block in fixed
     pieces, on as many threads as numpy's BLAS is given (at most
@@ -135,9 +130,10 @@ def quantum_bv_states(oracle: LinearOracle) -> QuantumTrace:
     check_type(oracle, LinearOracle, "oracle")
     d, n = oracle.d, oracle.n
     check_capacity(d ** (n + 1), "pipeline register")
-    register = _Register(_pre_query(d, n), d, n + 1)
+    register = _Register(_fourier_product((0,) * n + (d - 1,), d), d, n + 1)
     register = oracle.apply_quantum(register)
-    register = apply_local_gate(register, fourier_matrix(d).adjoint(), *range(1, n + 1))
+    inverse = GateMatrix(_fourier_columns(np.arange(d), d).conj(), d)
+    register = apply_local_gate(register, inverse, *range(1, n + 1))
     return QuantumTrace(Statevector(_Owned(register.amplitudes), d, n + 1))
 
 

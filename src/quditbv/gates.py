@@ -1,8 +1,8 @@
 """Unitary gates on qudit registers.
 
 A gate is a validated :class:`GateMatrix`; its inverse is its
-:meth:`GateMatrix.adjoint`, so the inverse Fourier gate is
-``fourier_matrix(d).adjoint()``.
+:meth:`GateMatrix.adjoint`.  The Fourier gate is symmetric, so
+:func:`_fourier_columns` builds its columns and, conjugated, its adjoint's.
 
 Two independent execution routes are provided on purpose:
 
@@ -124,6 +124,11 @@ def omega_powers(d: int) -> np.ndarray:
     return np.exp(2j * np.pi * np.arange(d) / d)
 
 
+def _fourier_columns(labels: Sequence[int], d: int) -> np.ndarray:
+    """The Fourier gate's columns ``labels``, one per row: the one home of its formula."""
+    return omega_powers(d)[np.multiply.outer(labels, np.arange(d)) % d] / np.sqrt(d)
+
+
 def fourier_matrix(d: int) -> GateMatrix:
     """Discrete Fourier gate on a single qudit of dimension ``d``.
 
@@ -134,9 +139,7 @@ def fourier_matrix(d: int) -> GateMatrix:
     """
     d = check_dimension(d)
     check_capacity(d * d, f"Fourier gate of dimension {d}")
-    grid = np.arange(d)
-    exponents = np.outer(grid, grid) % d
-    return GateMatrix(omega_powers(d)[exponents] / math.sqrt(d), d)
+    return GateMatrix(_fourier_columns(np.arange(d), d), d)
 
 
 def sum_matrix(d: int) -> GateMatrix:
@@ -398,6 +401,10 @@ def dense_operator(ops: Sequence[tuple[GateMatrix, Sequence[int]]], qudit_count:
     register order.  Refuses registers with more than ``DENSE_DIM_LIMIT``
     amplitudes.
     """
+    try:
+        ops = [(gate, tuple(positions)) for gate, positions in ops]
+    except (TypeError, ValueError) as exc:  # not pairs, or positions that are not a sequence
+        raise DomainError(f"ops must be a sequence of (gate, positions) pairs: {exc}") from None
     if not ops:
         raise DomainError("dense_operator needs at least one gate")
     d = check_type(ops[0][0], GateMatrix, "gate").d

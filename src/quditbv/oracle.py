@@ -188,4 +188,5 @@ def random_secret(d: int, n: int, rng: np.random.Generator) -> tuple[int, ...]:
     """Draw a uniform secret string of ``n`` digits in ``[0, d)`` from ``rng``."""
     check_dimension(d)
     n = check_int(n, "secret length", minimum=1)
+    check_type(rng, np.random.Generator, "rng")
     return tuple(int(v) for v in rng.integers(0, d, size=n))

@@ -7,6 +7,7 @@ from quditbv import (
     CapacityError,
     ConsistencyError,
     DomainError,
+    GateMatrix,
     LinearOracle,
     RunReport,
     Statevector,
@@ -27,7 +28,7 @@ from quditbv import (
     set_amplitude_budget,
     tensor,
 )
-from quditbv.algorithm import _pre_query
+from quditbv.algorithm import _fourier_product
 from quditbv.verification import TOL_ALGEBRA
 
 
@@ -102,16 +103,31 @@ class TestFourierBasisState:
         sv, peak = traced_peak(fourier_basis_state, label, d)
         assert peak <= 3 * sv.amplitudes.nbytes
 
+    @pytest.mark.parametrize("lead", ["random", "all zero", "kickback", "two zeros"])
     @pytest.mark.parametrize("d,n", [(2, 18), (17, 4), (16, 5), (256, 2)])
-    def test_equals_the_broadcast_product_of_columns(self, d, n):
+    def test_equals_the_broadcast_product_of_columns(self, d, n, lead):
         # One broadcast multiply per column at every size, from one block at
-        # (256, 2) to sixteen at (16, 5).
+        # (256, 2) to sixteen at (16, 5); leading zeros are tiled instead,
+        # which must leave every bit, signed zeros included, as it was.
         label = random_secret(d, n, np.random.default_rng(d + n))
+        label = {
+            "random": label,
+            "all zero": (0,) * n,
+            "kickback": (0,) * (n - 1) + (d - 1,),
+            "two zeros": (0, 0) + label[2:],
+        }[lead]
         columns = fourier_matrix(d).entries[:, label].T
         expected = columns[0]
         for column in columns[1:]:
             expected = (expected[:, None] * column).reshape(-1)
-        assert np.array_equal(fourier_basis_state(label, d).amplitudes, expected)
+        found = fourier_basis_state(label, d).amplitudes
+        assert found.view(np.uint64).tobytes() == expected.view(np.uint64).tobytes()
+
+    @pytest.mark.parametrize("d,n", [(2, 18), (16, 4)])
+    def test_labeled_pre_query_state_traced_peak_is_one_state(self, d, n, traced_peak):
+        # Leading zeros are one tile of the product of the other columns.
+        sv, peak = traced_peak(fourier_basis_state, (0,) * n + (d - 1,), d)
+        assert peak <= 1.01 * sv.amplitudes.nbytes
 
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())
@@ -168,12 +184,17 @@ class TestQuantumTrace:
     @pytest.mark.parametrize("d,n", [(2, 18), (16, 4)])
     def test_prep_traced_peak_is_one_state(self, d, n, traced_peak):
         # One tile of the kickback row: nothing beside the register but the row.
-        amps, peak = traced_peak(_pre_query, d, n)
+        amps, peak = traced_peak(_fourier_product, (0,) * n + (d - 1,), d)
         assert peak <= 1.01 * amps.nbytes
 
     @pytest.mark.parametrize("d,n", [(2, 18), (16, 4), (3, 9), (7, 1)])
     def test_prep_equals_the_labeled_fourier_state(self, d, n):
-        assert np.array_equal(_pre_query(d, n), pre_query_state(d, n).amplitudes)
+        # The Fourier gate's columns 0, ..., 0, d-1, multiplied left to right.
+        columns = fourier_matrix(d).entries[:, [0] * n + [d - 1]].T
+        expected = columns[0]
+        for column in columns[1:]:
+            expected = (expected[:, None] * column).reshape(-1)
+        assert np.array_equal(_fourier_product((0,) * n + (d - 1,), d), expected)
 
     def test_post_fourier_is_uniform_on_inputs(self):
         amplitudes = pre_query_state(3, 2).amplitudes
@@ -323,15 +344,19 @@ class TestRunQuantum:
         assert report.oracle_queries == oracle.query_count == 1
 
     def test_one_fourier_gate_build_per_solve(self, monkeypatch):
-        calls = []
+        # Every gate build is validated in __post_init__; the solve makes one,
+        # the inverse gate its layer applies.
+        built = []
+        post_init = GateMatrix.__post_init__
 
-        def counting(*args):
-            calls.append(args)
-            return fourier_matrix(*args)
+        def counting(gate):
+            post_init(gate)
+            built.append(gate)
 
-        monkeypatch.setattr("quditbv.algorithm.fourier_matrix", counting)
+        monkeypatch.setattr(GateMatrix, "__post_init__", counting)
         quantum_bv_states(LinearOracle((2, 0, 1), 3))
-        assert calls == [(3,)]
+        assert len(built) == 1
+        assert np.array_equal(built[0].entries, fourier_matrix(3).adjoint().entries)
 
     def test_report_fields(self):
         report = run_quantum_bv(LinearOracle((4, 3), 5))

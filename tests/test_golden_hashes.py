@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from quditbv import LinearOracle, Statevector, random_secret
-from quditbv.algorithm import _pre_query, marginal_probabilities
+from quditbv.algorithm import _fourier_product, marginal_probabilities
 from quditbv.state import _Owned, _Register
 
 # (d, n): sha256[:16] of the pre-query state; of the query's image of that
@@ -37,7 +37,7 @@ def stage_digests(d, n):
     """The digests of ``GOLDEN[d, n]``, the in-place query's after the out-of-place one's."""
     rng = np.random.default_rng(d * 1000 + n)
     oracle = LinearOracle(random_secret(d, n, rng), d)
-    amps = _pre_query(d, n)
+    amps = _fourier_product((0,) * n + (d - 1,), d)
     found = [digest(amps)]
     # Unequal magnitudes, so that the readout's sums depend on their order;
     # the weights' squares average 1, so the state's norm stays 1 to rounding.

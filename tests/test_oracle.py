@@ -13,7 +13,7 @@ from quditbv import (
     decode_index,
     random_secret,
 )
-from quditbv.algorithm import _pre_query
+from quditbv.algorithm import _fourier_product
 from quditbv.oracle import _GATHER_CHUNK
 from quditbv.state import _Register
 
@@ -187,7 +187,7 @@ class TestApplyQuantum:
         # one gather block, whatever the register size; at d = 1024 each
         # group is one row, whose tables are views.
         oracle = LinearOracle(random_secret(d, n, np.random.default_rng(d)), d)
-        register = _Register(_pre_query(d, n), d, n + 1)
+        register = _Register(_fourier_product((0,) * n + (d - 1,), d), d, n + 1)
         _, peak = traced_peak(oracle.apply_quantum, register)
         assert peak <= 4 * 2**20
 

@@ -22,6 +22,7 @@ from quditbv import (
     marginal_probabilities,
     measure_register,
     quantum_bv_states,
+    random_secret,
     run_classical_bv,
     run_quantum_bv,
     set_amplitude_budget,
@@ -261,6 +262,10 @@ WRONG_TYPES = {
     "tensor": lambda s: tensor(s, np.zeros(4)),
     "inner_product": lambda s: inner_product(s, [1, 0, 0, 0]),
     "dense_operator": lambda s: dense_operator([(np.eye(2), (1,))], 1),
+    "dense_operator positions": lambda s: dense_operator([(fourier_matrix(2), 1)], 2),
+    "dense_operator pair": lambda s: dense_operator([(fourier_matrix(2),)], 2),
+    "dense_operator ops": lambda s: dense_operator(5, 2),
+    "random_secret rng": lambda s: random_secret(2, 3, 5),
     "run_quantum_bv": lambda s: run_quantum_bv((1, 0)),
     "run_classical_bv": lambda s: run_classical_bv((1, 0)),
     "quantum_bv_states": lambda s: quantum_bv_states((1, 0)),

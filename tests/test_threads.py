@@ -149,6 +149,39 @@ def test_import_and_a_small_solve_start_no_thread():
     assert proc.stdout.split() == ["0", "0", "False"]
 
 
+@needs_openblas
+def test_a_large_layer_and_solve_run_on_blas_threads():
+    # Unlike the tests above, nothing forces the worker count: it must come
+    # from the real BLAS thread count, read before the layer pins BLAS to one.
+    code = (
+        "import threading\n"
+        "import numpy as np\n"
+        "from quditbv import LinearOracle, apply_local_gate, fourier_matrix, quantum_bv_states\n"
+        "from quditbv.state import _blas_threads, _Register\n"
+        "started = []\n"
+        "start = threading.Thread.start\n"
+        "threading.Thread.start = lambda self: (started.append(self), start(self))[1]\n"
+        "register = _Register(np.zeros(2**18, complex), 2, 18)\n"
+        "apply_local_gate(register, fourier_matrix(2), *range(1, 19))\n"
+        "layer = len(started)\n"
+        "quantum_bv_states(LinearOracle((1,) * 17, 2))\n"
+        "print(_blas_threads(), layer, len(started) - layer)\n"
+    )
+    env = dict(
+        os.environ,
+        OPENBLAS_NUM_THREADS="2",
+        PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""),
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    threads, layer, solve = map(int, proc.stdout.split())
+    if threads < 2:
+        pytest.skip(f"numpy's BLAS runs {threads} thread with OPENBLAS_NUM_THREADS=2")
+    assert layer >= 1
+    assert solve >= 1
+
+
 def _cpu_flags():
     try:
         with open("/proc/cpuinfo") as info:
