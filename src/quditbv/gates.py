@@ -11,12 +11,13 @@ Two independent execution routes are provided on purpose:
   single-qudit gates is batched matrix products, one per block of adjacent
   qudits, and SUM is two slice copies per control digit.  The state they
   return adopts its output array without a copy.  A layer writes one output
-  register and rewrites it in place through a scratch block of at most
-  ``_BLOCK`` amplitudes; given the register a solver owns, that output is
-  the register itself, so the layer needs no second one.  BLAS runs one
-  thread per product while a layer runs, and the layer's pieces run on as
-  many threads as BLAS was given instead, so its result does not depend on
-  the thread count.
+  register and rewrites it in place; given the register a solver owns, that
+  output is the register itself, so the layer needs no second one.  One
+  block function applies every block of whole rows and every column chunk
+  of the layer, each run of passes through a scratch block of its own.
+  BLAS runs one thread per product while a layer runs, and the layer's
+  pieces run on as many threads as BLAS was given instead, so its result
+  does not depend on the thread count.
 * :func:`dense_operator` builds the full ``d**k x d**k`` matrix for a gate
   sequence, for cross-checking the strided route on small registers.  Every
   gate, whatever its span, is lifted the same way: a Kronecker product with
@@ -54,9 +55,9 @@ DENSE_DIM_LIMIT = 256
 # d=8 layer of 2**24 amplitudes took 0.93-1.02 s fused against 0.87-1.10 s
 # unfused (2 vCPUs, OpenBLAS, best of 3).
 FUSED_SIDE_LIMIT = 32
-# Column chunks of an in-place pass start at multiples of this.  BLAS tiles
-# the columns of a product from the first one, and a chunk that starts inside
-# a tile rounds differently.  The rule was measured under OpenBLAS's SkylakeX
+# Column chunks of a pass start at multiples of this.  BLAS tiles the
+# columns of a product from the first one, and a chunk that starts inside a
+# tile rounds differently.  The rule was measured under OpenBLAS's SkylakeX
 # kernel: there, chunks that start at multiples of 64 and end in no
 # one-column tail match the whole-register product bit for bit.  Under its
 # Haswell kernel they do not, and a chunked pass equals the whole-register
@@ -221,8 +222,10 @@ def apply_local_gate(state: Statevector, gate: GateMatrix, pos: int, *more: int)
 
     The caller's state is left unchanged: the first pass reads its array and
     writes a new output register, which the returned :class:`Statevector`
-    adopts, and every later pass rewrites that register in place through a
-    scratch block of at most ``_BLOCK`` amplitudes (see :func:`_run_passes`).
+    adopts, and every later pass rewrites that register in place.  One block
+    function applies the passes a block of rows or a chunk of columns at a
+    time, each run of them through a scratch block of its own, at most
+    ``_BLOCK`` amplitudes unless one chunk is wider (see :func:`_run_passes`).
     Only the register a solver owns is rewritten in place from the first
     pass on.  Each amplitude takes the same products as with whole-register
     passes, bit for bit under OpenBLAS's SkylakeX kernel (see ``_ALIGN``),
@@ -255,27 +258,37 @@ def _run_passes(passes: list[tuple[np.ndarray, int]], src: np.ndarray, out: np.n
     """Apply ``passes`` in order to ``src``, leaving the result in ``out``.
 
     A register of one block is one piece; a larger one goes in pieces of
-    ``_BLOCK // _SHARES`` amplitudes, whatever the thread count.  A run of
-    consecutive passes whose rows ``side*right`` fit in a piece goes one
-    block of whole rows at a time.  A longer pass goes alone, by chunks of
-    the columns of each ``(side, right)`` plane: from ``src`` into ``out``
-    when it is the first and ``src`` is not ``out``, in place otherwise.
-    Only the first pass reads ``src``, which may be ``out`` itself.
+    ``_BLOCK // _SHARES`` amplitudes, whatever the thread count.  One block
+    function applies every job ``(key, run)``: a run of consecutive passes
+    whose rows ``side*right`` fit in a piece, to one block of whole rows; or
+    one longer pass, to one ``_ALIGN``-aligned chunk of the columns of a
+    ``(side, right)`` plane.  A job alternates between its block of ``out``
+    and the worker's share of the run's scratch block, the first picked by
+    the run's parity so that the last pass lands in ``out``; in place, an odd
+    run ends with a copy back.  Only the first run reads ``src``, which may
+    be ``out`` itself; a single pass from ``src`` into another ``out`` goes
+    straight there.  Each run frees its scratch before the next allocates.
 
     BLAS runs one thread per product while the layer runs, so no product
-    depends on its thread count; the blocks and chunks of a pass are spread
-    over as many workers as BLAS had threads, at most ``_SHARES`` (see
-    :func:`~quditbv.state._spread`), each with its own share of the scratch
-    block.  The count is restored on return, also when a product raises.
+    depends on its thread count; a run's jobs are spread over as many workers
+    as BLAS had threads, at most ``_SHARES`` (see
+    :func:`~quditbv.state._spread`), or over one if a job outgrows a piece.
+    The count is restored on return, also when a product raises.
     """
     piece, workers = _split(out.size, _BLOCK)
     rows = [entries.shape[0] * right for entries, right in passes]
-    scratch = None  # a single pass goes straight from src to out
-    if len(passes) > 1 or src is out:
-        # A chunk of _ALIGN + 1 columns of a gate wider than _BLOCK / 65 (so
-        # more than 2**20 entries) is the one thing that outgrows a block.
-        widest = (_ALIGN + 1) * max(entries.shape[0] for entries, _ in passes)
-        scratch = np.empty(min(max(_BLOCK, widest), out.size), out.dtype)
+
+    def block(job: tuple, w: int) -> None:
+        key, run = job
+        dst = target[key]
+        spare = None if scratch is None else scratch[w, : dst.size]  # flat: _pass reshapes it
+        x, y = source[key], (spare if in_place or len(run) % 2 == 0 else dst)
+        for entries, right in run:
+            _pass(entries, right, x, y)
+            x, y = y, (dst if y is spare else spare)
+        if x is not dst:
+            dst[...] = x.reshape(dst.shape)
+
     threads = _blas_threads()
     _set_blas_threads(1)
     try:
@@ -285,73 +298,30 @@ def _run_passes(passes: list[tuple[np.ndarray, int]], src: np.ndarray, out: np.n
             if rows[i] <= piece:
                 while j < len(passes) and rows[j] <= piece:
                     j += 1
-                _run_row_blocks(passes[i:j], max(rows[i:j]), piece, src, out, scratch, workers)
+                run, row = passes[i:j], max(rows[i:j])
+                step = piece // row * row
+                share, source, target = min(step, out.size), src, out
+                jobs = [(slice(lo, lo + step), run) for lo in range(0, out.size, step)]
             else:
-                _run_column_chunks(*passes[i], piece, src, out, scratch, workers)
-            src, i = out, j
+                entries, right = passes[i]
+                side = entries.shape[0]
+                # A last chunk of one column would take numpy's matrix-vector
+                # route, which rounds differently, so the chunk before takes it.
+                cols = max(_ALIGN, piece // side // _ALIGN * _ALIGN)
+                edges = [*range(0, max(right - 1, 1), cols), right]
+                share = side * max(hi - lo for lo, hi in zip(edges, edges[1:]))
+                source, target = src.reshape(-1, side, right), out.reshape(-1, side, right)
+                jobs = [
+                    ((slice(p, p + 1), slice(None), slice(lo, hi)), [(entries, hi - lo)])
+                    for p in range(target.shape[0])
+                    for lo, hi in zip(edges, edges[1:])
+                ]
+            in_place, count = src is out, (1 if share > piece else workers)
+            scratch = np.empty((count, share), out.dtype) if in_place or j - i > 1 else None
+            _spread(block, jobs, count)
+            scratch, src, i = None, out, j
     finally:
         _set_blas_threads(threads)
-
-
-def _run_row_blocks(
-    run: list[tuple[np.ndarray, int]], row: int, piece: int, src: np.ndarray, out: np.ndarray,
-    scratch: np.ndarray | None, workers: int,
-) -> None:
-    """Apply ``run`` to ``src`` into ``out`` one block of whole rows, at most ``piece`` long, at a time.
-
-    Every pass takes the block while it is in cache, alternating between the
-    block of ``out`` and the worker's share of the scratch block.  The first
-    buffer is picked by the parity of the run so that the last pass lands in
-    ``out``: a register of one block makes the whole-register products with
-    no copy back.  In place, an odd run ends with one.
-    """
-    step = piece // row * row
-
-    def block(lo: int, w: int) -> None:
-        dst = out[lo : lo + step]
-        spare = None if scratch is None else scratch[w * step : w * step + dst.size]
-        x, y = src[lo : lo + step], (spare if src is out or len(run) % 2 == 0 else dst)
-        for entries, right in run:
-            _pass(entries, right, x, y)
-            x, y = y, (dst if y is spare else spare)
-        if x is not dst:
-            dst[...] = x
-
-    _spread(block, range(0, out.size, step), workers)
-
-
-def _run_column_chunks(
-    entries: np.ndarray, right: int, piece: int, src: np.ndarray, out: np.ndarray,
-    scratch: np.ndarray | None, workers: int,
-) -> None:
-    """Apply one pass a chunk of columns of each ``(side, right)`` plane at a time.
-
-    A chunk goes from ``src`` straight into ``out``, or, in place, through
-    the worker's share of the scratch block.
-    """
-    side = entries.shape[0]
-    # Chunks are a multiple of _ALIGN wide: a last chunk of one column would
-    # take numpy's matrix-vector route, which rounds differently, so the
-    # chunk before takes that column too.
-    cols = max(_ALIGN, piece // side // _ALIGN * _ALIGN)
-    edges = [*range(0, max(right - 1, 1), cols), right]
-    share = max(hi - lo for lo, hi in zip(edges, edges[1:])) * side  # the widest chunk
-    if share > piece:  # chunks this wide go one at a time, through the whole scratch block
-        workers = 1
-    planes, targets = src.reshape(-1, side, right), out.reshape(-1, side, right)
-
-    def chunk(job: tuple[int, int, int], w: int) -> None:
-        plane, lo, hi = job
-        if src is not out:
-            np.matmul(entries, planes[plane, :, lo:hi], out=targets[plane, :, lo:hi])
-            return
-        columns = targets[plane, :, lo:hi]
-        temp = scratch[w * share : w * share + columns.size].reshape(side, -1)
-        np.matmul(entries, columns, out=temp)
-        columns[...] = temp
-
-    jobs = [(plane, lo, hi) for plane in range(planes.shape[0]) for lo, hi in zip(edges, edges[1:])]
-    _spread(chunk, jobs, workers)
 
 
 def apply_sum(state: Statevector, control: int, target: int) -> Statevector:

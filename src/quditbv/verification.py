@@ -19,6 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .algorithm import TOL_STATE, fourier_basis_state, quantum_bv_states
+from .budget import check_capacity
 from .errors import CapacityError, check_int
 from .gates import (
     DENSE_DIM_LIMIT,
@@ -118,6 +119,7 @@ def kickback_check(d: int) -> CheckResult:
     ``exp(2*pi*i*c/d)`` for control digit ``c``.
     """
     d = check_dimension(d)
+    check_capacity(d * d, "kickback check register")
     phi = np.exp(-2j * np.pi * np.arange(d) / d) / np.sqrt(d)
     worst = 0.0
     for control_digit in range(d):

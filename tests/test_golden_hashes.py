@@ -1,17 +1,26 @@
-"""Pinned bits of the stages that call no BLAS: prep, query and readout.
+"""Pinned bits of the solve: of the stages that call no BLAS, and of its final state.
 
-The digests below are of the arrays as they were before the row sweeps ran
+The stage digests are of the arrays as they were before the row sweeps ran
 strided and the query through lookup tables, so any change to the order in
-which those stages add or multiply shows here.  None of these stages calls
-BLAS, so the digests hold under every OpenBLAS kernel and thread count.
+which prep, query or readout add or multiply shows here.  None of these
+stages calls BLAS, so their digests hold under every OpenBLAS kernel and
+thread count.
+
+The solve's final state goes through the inverse Fourier layer, whose
+products round as the BLAS kernel does, so its digests are pinned for
+OpenBLAS's SkylakeX kernel only.  They hold at every thread count, and they
+are the layer's own bits rather than those of a reference built from the
+same passes, so a change to how the layer fuses or blocks its products
+shows here.
 """
 
+import ctypes
 import hashlib
 
 import numpy as np
 import pytest
 
-from quditbv import LinearOracle, Statevector, random_secret
+from quditbv import LinearOracle, Statevector, quantum_bv_states, random_secret
 from quditbv.algorithm import _fourier_product, marginal_probabilities
 from quditbv.state import _Owned, _Register
 
@@ -57,3 +66,44 @@ def stage_digests(d, n):
 def test_prep_query_and_readout_keep_their_bits(d, n):
     prep, query, marginal = GOLDEN[d, n]
     assert stage_digests(d, n) == [prep, query, marginal, query]
+
+
+# (d, n): sha256[:16] of quantum_bv_states(oracle).final's amplitudes and of
+# their input-register marginal, under OpenBLAS's SkylakeX kernel.
+FINAL = {
+    (2, 1): ("3c04fb93e689b905", "1b1af4bf404cbf16"),
+    (2, 3): ("7079f18a4d22f102", "9c45bc8eaf43b947"),
+    (2, 14): ("61c0a2cda3de451e", "4538a8008f7e4902"),
+    (2, 16): ("60fb2091cc34b62d", "f955862aad60a473"),
+    (3, 9): ("4c27e2c244b585e4", "87670387bcb980b0"),
+    (3, 12): ("2e0389e29dac207b", "96275a8a2a8a37c3"),
+    (4, 5): ("6ed8924d4045c574", "eedfc12629b5a262"),
+    (5, 4): ("d7380c4f07f77c94", "f8b0cd092d44ad9e"),
+    (5, 7): ("4a3d7edef541f8fd", "a08538dd8fed059a"),
+    (7, 1): ("5472195c6c8b092b", "18edcc096e446296"),
+    (9, 2): ("2b82be71233b1833", "ea3b18f69e611f9d"),
+    (90, 2): ("9a9214209ab937df", "b08853831ac11170"),
+    (91, 2): ("64fa378fbdd0c3a3", "fdfaa0d12afbc7f6"),
+    (100, 1): ("b5f16d521101a749", "e0e198a002585718"),
+}
+
+
+def openblas_core():
+    """The name of the kernel numpy's scipy-openblas runs, or ``None`` without one."""
+    try:
+        get = ctypes.CDLL(np._core._multiarray_umath.__file__).scipy_openblas_get_corename64_
+    except (AttributeError, OSError):
+        return None
+    get.argtypes, get.restype = [], ctypes.c_char_p
+    return get().decode()
+
+
+@pytest.mark.parametrize("d,n", list(FINAL))
+def test_final_keeps_its_bits_under_the_skylakex_kernel(d, n):
+    core = openblas_core()
+    if core != "SkylakeX":
+        pytest.skip(f"the final digests are pinned for OpenBLAS's SkylakeX kernel, not {core}")
+    oracle = LinearOracle(random_secret(d, n, np.random.default_rng(d * 1000 + n)), d)
+    final = quantum_bv_states(oracle).final
+    marginal = marginal_probabilities(final, range(1, n + 1))
+    assert (digest(final.amplitudes), digest(marginal)) == FINAL[d, n]

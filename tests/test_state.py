@@ -28,6 +28,7 @@ from quditbv import (
     set_amplitude_budget,
     tensor,
 )
+from quditbv.cli import emit_report
 from quditbv.state import _BLOCK, _Owned
 
 
@@ -273,6 +274,9 @@ WRONG_TYPES = {
     "measure_register rng": lambda s: measure_register(s, (1,), 0),
     "apply_local_gate": lambda s: apply_local_gate(s, np.eye(2), 1),
     "marginal_probabilities": lambda s: marginal_probabilities(np.zeros(4), (1,)),
+    "emit_report reports": lambda s: emit_report([1], "json", (1,), 0),
+    "emit_report string": lambda s: emit_report("abc", "json", (1,), 0),
+    "emit_report secret": lambda s: emit_report([], "csv", 5, 0),
 }
 
 

@@ -87,11 +87,15 @@ def test_solve_is_bit_identical_at_every_worker_count(d, n, workers):
 
 @pytest.mark.parametrize("workers", WORKERS, indirect=True)
 @pytest.mark.parametrize("d,k,positions", LAYER_CASES, ids=LAYER_IDS)
-def test_in_place_layer_is_bit_identical_at_every_worker_count(d, k, positions, workers):
+@pytest.mark.parametrize("in_place", [True, False], ids=["in place", "public"])
+def test_layer_is_bit_identical_at_every_worker_count(d, k, positions, in_place, workers):
+    # A public layer's first pass reads the caller's state and writes a new register.
     state = random_state(d, k, np.random.default_rng(d + k))
     gate = fourier_matrix(d).adjoint()
 
     def layer():
+        if not in_place:
+            return apply_local_gate(state, gate, *positions).amplitudes
         register = _Register(state.amplitudes.copy(), d, k)
         assert apply_local_gate(register, gate, *positions) is register
         return register.amplitudes

@@ -21,6 +21,7 @@ from quditbv import (
     root_of_unity_check,
     root_of_unity_sum,
     run_all_checks,
+    set_amplitude_budget,
 )
 from quditbv.verification import TOL_ALGEBRA
 
@@ -121,6 +122,16 @@ class TestKickbackCheck:
             joint[:d] = phi  # control digit 0
             after = apply_sum(Statevector(joint, d, 2), 1, 2)
             assert np.max(np.abs(after.amplitudes - joint)) <= 1e-12
+
+    def test_capacity_guard(self):
+        # Its registers hold d * d amplitudes, like basis_state((0, 0), d).
+        set_amplitude_budget(100)
+        try:
+            with pytest.raises(CapacityError, match="kickback check register"):
+                kickback_check(11)
+            assert kickback_check(10).passed
+        finally:
+            set_amplitude_budget(None)
 
 
 class TestDenseReference:
