@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -28,7 +29,7 @@ from .budget import check_capacity
 from .errors import ConsistencyError, DomainError, check_type
 from .gates import GateMatrix, _check_position, _fourier_columns, apply_local_gate
 from .oracle import LinearOracle
-from .state import Statevector, _Owned, _Register, _split, _spread, decode_index, validate_digits
+from .state import _BLOCK, Statevector, _Owned, _Register, _split, _spread, decode_index, validate_digits
 
 TOL_STATE = 1e-9
 PEAK_PROBABILITY_FLOOR = 1.0 - TOL_STATE
@@ -107,11 +108,25 @@ def _fourier_product(s: tuple[int, ...], d: int) -> np.ndarray:
     the next column, and the rest's product is tiled, with the same bits.
     """
     zeros = next((i for i, digit in enumerate(s[:-1]) if digit), len(s) - 1)
-    columns = _fourier_columns(s[zeros:], d)
+    return _column_product(_fourier_columns(s[zeros:], d), zeros, d)
+
+
+def _column_product(columns: np.ndarray, zeros: int, d: int) -> np.ndarray:
+    """The product of Fourier ``columns`` (one per row) after ``zeros`` leading zero digits."""
     amps = columns[0] * math.prod([1 / np.sqrt(d)] * zeros) if zeros else columns[0]
     for column in columns[1:]:
         amps = (amps[:, None] * column).reshape(-1)
     return np.repeat(amps[None], d**zeros, axis=0).reshape(-1) if zeros else amps
+
+
+@lru_cache(maxsize=16)
+def _inverse_fourier(d: int) -> GateMatrix:
+    """The inverse Fourier gate, the conjugated Fourier columns, validated.
+
+    Kept per ``d`` for the solve while ``d * d <= _BLOCK``, so at most 16
+    gates of 1 MiB; the solve builds a larger one through ``__wrapped__``.
+    """
+    return GateMatrix(_fourier_columns(np.arange(d), d).conj(), d)
 
 
 def quantum_bv_states(oracle: LinearOracle) -> QuantumTrace:
@@ -119,9 +134,14 @@ def quantum_bv_states(oracle: LinearOracle) -> QuantumTrace:
 
     Applies the oracle exactly once and one gate layer, all in one register
     that the solve owns: the Fourier basis state labeled ``0...0, d-1``, which
-    the query and the layer (the solve's one gate build) rewrite in place
-    through a scratch block.  The trace hands it on as a read-only ``final``.
-    Raises a capacity error before allocating if ``d**(n+1)`` is over budget.
+    the query and the layer rewrite in place through a scratch block.  The
+    trace hands it on as a read-only ``final``.  Raises a capacity error
+    before allocating if ``d**(n+1)`` is over budget.
+
+    The layer's gate, the inverse Fourier gate, is built and validated once
+    per ``d`` up to 256 and kept, with the fused powers its layers make;
+    above 256 each solve builds it.  The register's kickback row is that
+    gate's last row, conjugated: bit for bit the Fourier gate's last column.
 
     The query and the layer sweep a register of more than one block in fixed
     pieces, on as many threads as numpy's BLAS is given (at most
@@ -130,9 +150,9 @@ def quantum_bv_states(oracle: LinearOracle) -> QuantumTrace:
     check_type(oracle, LinearOracle, "oracle")
     d, n = oracle.d, oracle.n
     check_capacity(d ** (n + 1), "pipeline register")
-    register = _Register(_fourier_product((0,) * n + (d - 1,), d), d, n + 1)
+    inverse = (_inverse_fourier if d * d <= _BLOCK else _inverse_fourier.__wrapped__)(d)
+    register = _Register(_column_product(inverse.entries[d - 1 :].conj(), n, d), d, n + 1)
     register = oracle.apply_quantum(register)
-    inverse = GateMatrix(_fourier_columns(np.arange(d), d).conj(), d)
     register = apply_local_gate(register, inverse, *range(1, n + 1))
     return QuantumTrace(Statevector(_Owned(register.amplitudes), d, n + 1))
 

@@ -1,8 +1,11 @@
 """Unitary gates on qudit registers.
 
 A gate is a validated :class:`GateMatrix`; its inverse is its
-:meth:`GateMatrix.adjoint`.  The Fourier gate is symmetric, so
-:func:`_fourier_columns` builds its columns and, conjugated, its adjoint's.
+:meth:`GateMatrix.adjoint`.  Its unitarity is checked a block of rows at a
+time.  The Fourier gate is symmetric, so :func:`_fourier_columns` builds its
+columns and, conjugated, its adjoint's.  A gate keeps the read-only
+Kronecker powers that its layers fuse, each budgeted when first built, so a
+gate applied again fuses nothing; they live and die with the gate.
 
 Two independent execution routes are provided on purpose:
 
@@ -77,6 +80,8 @@ class GateMatrix:
     entries: np.ndarray
     d: int
     qudit_span: int = field(init=False)
+    # Fused Kronecker powers of this gate by (side, identity pad), read-only.
+    _powers: dict[tuple[int, int], np.ndarray] = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self) -> None:
         d = check_dimension(self.d)
@@ -102,8 +107,16 @@ class GateMatrix:
             raise DomainError(f"{not_complex}: {exc}") from exc
         if not np.all(np.isfinite(entries)):
             raise DomainError("gate entries must be finite")
-        defect = entries @ entries.conj().T - np.eye(side)
-        worst = float(np.max(np.abs(defect)))
+        # U U* - I a block of rows at a time (conjugated, so U.T is a view):
+        # the check holds one block, not the whole product.
+        rows = max(1, min(side, _BLOCK // side))
+        check_capacity(rows * side, "unitarity check block")
+        block, worst = np.empty((rows, side), np.complex128), 0.0
+        for lo in range(0, side, rows):
+            defect = block[: min(rows, side - lo)]
+            np.matmul(entries[lo : lo + rows].conj(), entries.T, out=defect)
+            defect.reshape(-1)[lo :: side + 1] -= 1  # the identity's entries in these rows
+            worst = max(worst, float(np.max(np.abs(defect))))
         if worst > TOL_ALGEBRA:
             raise DomainError(
                 f"matrix is not unitary: max |U U* - I| entry is {worst:.3e}"
@@ -170,8 +183,8 @@ def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, None, :, None] * b[None, :, None, :]).reshape(rows, cols)
 
 
-def _layer_passes(entries: np.ndarray, positions: list[int], d: int, k: int) -> list[tuple[np.ndarray, int]]:
-    """The ``(matrix, right)`` passes that apply ``entries`` at each of ``positions``.
+def _layer_passes(gate: GateMatrix, positions: list[int], k: int) -> list[tuple[np.ndarray, int]]:
+    """The ``(matrix, right)`` passes that apply ``gate`` at each of ``positions``.
 
     Each pass is one batched product over the ``(left, side, right)`` view.
     Two or more distinct positions act on different qudits, so they commute:
@@ -181,7 +194,10 @@ def _layer_passes(entries: np.ndarray, positions: list[int], d: int, k: int) -> 
     after the last listed one join its block as identity when they fit, so
     that pass has ``right == 1``.  Any other call, and any ``d`` whose ``d*d``
     exceeds that side, gives the single-qudit passes in the listed order.
+    Each fused power is budgeted and built on the gate's first such layer,
+    then kept on the gate, read-only.
     """
+    entries, d = gate.entries, gate.d
     limit = min(FUSED_SIDE_LIMIT, math.isqrt(d**k))
     if len(positions) < 2 or len(set(positions)) < len(positions) or d * d > limit:
         return [(entries, d ** (k - p)) for p in positions]
@@ -195,13 +211,16 @@ def _layer_passes(entries: np.ndarray, positions: list[int], d: int, k: int) -> 
         side = d * pad
         while todo and todo[-1] == first - 1 and side * d <= limit:
             first, side = todo.pop(), side * d
-        fused = entries
-        if side > d:
+        fused = gate._powers.get((side, pad)) if side > d else entries
+        if fused is None:  # two threads may both build it, with the same bits
             check_capacity(side * side, f"fused gate of side {side}")
+            fused = entries
             for _ in range(end - first):
                 fused = _kron(fused, entries)
             if pad > 1:
                 fused = _kron(fused, np.eye(pad))
+            fused.flags.writeable = False
+            fused = gate._powers.setdefault((side, pad), fused)
         passes.append((fused, d ** (k - end) // pad))
         pad = 1
     return passes
@@ -237,9 +256,9 @@ def apply_local_gate(state: Statevector, gate: GateMatrix, pos: int, *more: int)
         raise DomainError(f"gate dimension {gate.d} does not match state dimension {state.d}")
     if gate.qudit_span != 1:
         raise DomainError(f"apply_local_gate needs a single-qudit gate, got span {gate.qudit_span}")
-    d, k = state.d, state.qudit_count
+    k = state.qudit_count
     positions = [_check_position(p, k) for p in (pos, *more)]
-    passes = _layer_passes(gate.entries, positions, d, k)
+    passes = _layer_passes(gate, positions, k)
     out = _output(state)
     _run_passes(passes, state.amplitudes, out)
     return _result(state, out)

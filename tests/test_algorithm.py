@@ -28,8 +28,23 @@ from quditbv import (
     set_amplitude_budget,
     tensor,
 )
-from quditbv.algorithm import _fourier_product
+from quditbv.algorithm import _fourier_product, _inverse_fourier
+from quditbv.state import _BLOCK
 from quditbv.verification import TOL_ALGEBRA
+
+
+@pytest.fixture
+def gate_builds(monkeypatch):
+    """The gates built meanwhile, each counted once its ``__post_init__`` checks pass."""
+    built = []
+    post_init = GateMatrix.__post_init__
+
+    def counting(gate):
+        post_init(gate)
+        built.append(gate)
+
+    monkeypatch.setattr(GateMatrix, "__post_init__", counting)
+    return built
 
 
 def forward_layer(d, n):
@@ -343,20 +358,54 @@ class TestRunQuantum:
         assert report.recovered == secret
         assert report.oracle_queries == oracle.query_count == 1
 
-    def test_one_fourier_gate_build_per_solve(self, monkeypatch):
-        # Every gate build is validated in __post_init__; the solve makes one,
-        # the inverse gate its layer applies.
-        built = []
-        post_init = GateMatrix.__post_init__
-
-        def counting(gate):
-            post_init(gate)
-            built.append(gate)
-
-        monkeypatch.setattr(GateMatrix, "__post_init__", counting)
+    def test_one_fourier_gate_build_per_dimension(self, gate_builds):
+        # Every gate build is validated in __post_init__.  The first solve at a
+        # d builds the inverse gate its layer applies; later ones, at any n,
+        # reuse it.
+        _inverse_fourier.cache_clear()
         quantum_bv_states(LinearOracle((2, 0, 1), 3))
-        assert len(built) == 1
-        assert np.array_equal(built[0].entries, fourier_matrix(3).adjoint().entries)
+        assert len(gate_builds) == 1
+        assert np.array_equal(gate_builds[0].entries, fourier_matrix(3).adjoint().entries)
+        gate_builds.clear()
+        quantum_bv_states(LinearOracle((1, 2), 3))
+        assert gate_builds == []
+
+    def test_above_side_256_every_solve_builds_its_gate(self, gate_builds):
+        _inverse_fourier.cache_clear()
+        for _ in range(2):
+            assert run_quantum_bv(LinearOracle((299,), 300)).recovered == (299,)
+        assert len(gate_builds) == 2
+        info = _inverse_fourier.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
+
+    def test_kept_gates_stay_within_16_mib(self):
+        # Each kept gate has at most _BLOCK entries.
+        info = _inverse_fourier.cache_info()
+        assert info.maxsize * _BLOCK * np.dtype(np.complex128).itemsize <= 16 * 2**20
+        for d in range(2, 21):
+            quantum_bv_states(LinearOracle((1,), d))
+            assert _inverse_fourier.cache_info().currsize <= info.maxsize
+        assert _inverse_fourier.cache_info().currsize == info.maxsize
+
+    def test_kept_gate_and_its_fused_powers_are_read_only(self):
+        quantum_bv_states(LinearOracle((2, 0, 1, 1, 2), 3))
+        gate = _inverse_fourier(3)
+        assert not gate.entries.flags.writeable
+        assert gate._powers and not any(p.flags.writeable for p in gate._powers.values())
+
+    def test_budget_still_refuses_the_register_after_a_kept_gate(self, traced_peak):
+        oracle = LinearOracle((2, 0, 1), 3)
+        quantum_bv_states(oracle)  # keeps the gate at d=3
+        set_amplitude_budget(3**4 - 1)
+
+        def refuse():
+            with pytest.raises(CapacityError, match="pipeline register"):
+                quantum_bv_states(oracle)
+
+        try:
+            assert traced_peak(refuse)[1] < 64 * 1024
+        finally:
+            set_amplitude_budget(None)
 
     def test_report_fields(self):
         report = run_quantum_bv(LinearOracle((4, 3), 5))

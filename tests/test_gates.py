@@ -55,7 +55,7 @@ def whole_register_passes(state, gate, positions):
     threads = _blas_threads()
     _set_blas_threads(1)
     try:
-        for entries, right in _layer_passes(gate.entries, positions, state.d, state.qudit_count):
+        for entries, right in _layer_passes(gate, positions, state.qudit_count):
             side = entries.shape[0]
             if right == 1:
                 amps = np.matmul(amps.reshape(-1, side), entries.T).reshape(-1)
@@ -130,6 +130,20 @@ class TestGateMatrix:
         for gate in (fourier_matrix(3), fourier_matrix(3).adjoint()):
             with pytest.raises(ValueError):
                 gate.entries[0, 0] = 0.0
+
+    @pytest.mark.parametrize("row", [0, 217, 218, 299])
+    def test_rejects_a_defect_in_any_row_block(self, row):
+        # Side 300 checks rows 0..217, then 218..299; a defect in either block is found.
+        entries = fourier_matrix(300).entries.copy()
+        entries[row] *= 1.5  # |row|**2 == 2.25; the rows stay orthogonal
+        with pytest.raises(DomainError, match=r"not unitary: max \|U U\* - I\| entry is 1\.250e\+00"):
+            GateMatrix(entries, 300)
+
+    def test_unitarity_check_holds_one_block_of_rows(self, traced_peak):
+        # Two 16 MiB matrices (the columns and the gate's copy) and a block of
+        # at most _BLOCK entries, not the whole d x d product.
+        gate, peak = traced_peak(fourier_matrix, 1024)
+        assert peak <= 2.2 * gate.entries.nbytes
 
     def test_qudit_span(self):
         assert fourier_matrix(5).qudit_span == 1
@@ -366,10 +380,10 @@ class TestApplyLocalGate:
     def test_pipeline_layers_are_few_fused_passes(self, d, k):
         # Both Fourier layers of the solver at the budget edge: the pass at
         # the last qudit takes no batch of tiny products (right == 1).
-        entries = fourier_matrix(d).entries
+        gate = fourier_matrix(d)
         per_block = max(m for m in range(1, k) if d**m <= FUSED_SIDE_LIMIT)
         for last in (k, k - 1):
-            passes = _layer_passes(entries, list(range(1, last + 1)), d, k)
+            passes = _layer_passes(gate, list(range(1, last + 1)), k)
             assert len(passes) == -(-k // per_block)
             assert passes[0][1] == 1
             assert all(matrix.shape[0] <= FUSED_SIDE_LIMIT for matrix, _ in passes)
@@ -380,10 +394,20 @@ class TestApplyLocalGate:
         ids=["one position", "repeated position", "tiny register", "d=6", "d=16"],
     )
     def test_calls_that_do_not_fuse_keep_the_exact_chain(self, d, k, positions):
-        entries = fourier_matrix(d).entries
-        passes = _layer_passes(entries, positions, d, k)
+        gate = fourier_matrix(d)
+        passes = _layer_passes(gate, positions, k)
         assert [right for _, right in passes] == [d ** (k - p) for p in positions]
-        assert all(matrix is entries for matrix, _ in passes)
+        assert all(matrix is gate.entries for matrix, _ in passes)
+
+    def test_fused_powers_are_built_once_per_gate_and_read_only(self, monkeypatch):
+        gate = fourier_matrix(2)
+        first = _layer_passes(gate, list(range(1, 11)), 11)
+        assert gate._powers and all(not p.flags.writeable for p in gate._powers.values())
+        monkeypatch.setattr("quditbv.gates._kron", None)  # a second build would fail
+        again = _layer_passes(gate, list(range(1, 11)), 11)
+        assert [(m, r) for m, r in first] == [(m, r) for m, r in again]
+        assert all(a is b for (a, _), (b, _) in zip(first, again))
+        assert not fourier_matrix(2)._powers  # another gate keeps its own
 
     def test_register_at_the_budget_still_solves(self):
         # A fused gate never holds more entries than the register has amplitudes.

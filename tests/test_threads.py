@@ -20,7 +20,8 @@ from quditbv import (
     quantum_bv_states,
     random_secret,
 )
-from quditbv.state import _BLOCK, _blas_threads, _openblas, _Owned, _Register
+from quditbv.algorithm import _inverse_fourier
+from quditbv.state import _BLOCK, _blas_threads, _openblas, _Owned, _Register, _set_blas_threads
 
 from test_gates import LAYER_CASES, LAYER_IDS, random_state
 
@@ -111,6 +112,35 @@ def test_non_finite_in_the_last_piece_raises_when_spread(bad, workers):
     with pytest.raises(DomainError, match="finite"):
         Statevector(_Owned(amps), 2, 19)
     assert workers[1]  # the check ran on threads
+
+
+@pytest.mark.parametrize("d,n", [(3, 6), (16, 2)])
+def test_first_solves_at_one_dimension_on_two_threads_equal_a_serial_solve(d, n):
+    # Both threads may build the kept gate (and at d=3 its fused powers);
+    # every build has the same bits, so every final does.
+    secret = random_secret(d, n, np.random.default_rng(d * n))
+    serial = quantum_bv_states(LinearOracle(secret, d)).final.amplitudes.tobytes()
+    threads_before, interval = _blas_threads(), sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            _inverse_fourier.cache_clear()
+            barrier, finals = threading.Barrier(2, timeout=30), [None, None]
+
+            def first_solve(i):
+                barrier.wait()
+                finals[i] = quantum_bv_states(LinearOracle(secret, d)).final.amplitudes.tobytes()
+
+            pair = [threading.Thread(target=first_solve, args=(i,)) for i in range(2)]
+            for thread in pair:
+                thread.start()
+            for thread in pair:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in pair)
+            assert finals == [serial, serial]
+    finally:
+        sys.setswitchinterval(interval)
+        _set_blas_threads(threads_before)  # two concurrent layers may leave the other's pin
 
 
 needs_openblas = pytest.mark.skipif(_openblas() is None, reason="numpy is not built on scipy-openblas")
