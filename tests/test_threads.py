@@ -140,7 +140,7 @@ def test_first_solves_at_one_dimension_on_two_threads_equal_a_serial_solve(d, n)
             assert finals == [serial, serial]
     finally:
         sys.setswitchinterval(interval)
-        _set_blas_threads(threads_before)  # two concurrent layers may leave the other's pin
+        _set_blas_threads(threads_before)  # concurrent layers can leave BLAS pinned to one thread
 
 
 needs_openblas = pytest.mark.skipif(_openblas() is None, reason="numpy is not built on scipy-openblas")
