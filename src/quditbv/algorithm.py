@@ -5,9 +5,10 @@ The quantum pipeline, for an oracle on ``n`` input qudits of dimension ``d``:
 1. start in |0...0>|d-1>;
 2. apply the forward Fourier gate to every qudit (the last qudit becomes the
    phase-kickback state): the result is the Fourier basis state labeled
-   ``0...0, d-1``, built directly as a tile of the kickback row;
+   ``0...0, d-1``, whose every row is the same scaled kickback row.  It is
+   never built: the query below writes its image from that row;
 3. query the oracle once, which multiplies each input branch |x> by the
-   phase ``omega**f(x)`` and rewrites a copy of the register in place;
+   phase ``omega**f(x)``: row ``x`` is the kickback row rotated by ``f(x)``;
 4. apply the inverse Fourier gate (the conjugated columns) to the first ``n``
    qudits, collapsing the input register exactly onto the secret string.
 
@@ -29,7 +30,7 @@ from .budget import check_capacity
 from .errors import ConsistencyError, DomainError, check_type
 from .gates import GateMatrix, _check_position, _fourier_columns, apply_local_gate
 from .oracle import LinearOracle
-from .state import _BLOCK, Statevector, _Owned, _Register, _split, _spread, decode_index, validate_digits
+from .state import _BLOCK, Statevector, _Owned, _RowRegister, _split, _spread, decode_index, validate_digits
 
 TOL_STATE = 1e-9
 PEAK_PROBABILITY_FLOOR = 1.0 - TOL_STATE
@@ -69,9 +70,10 @@ class QuantumTrace:
 
     ``final`` is the solve's one register, handed on read-only once the
     inverse layer has rewritten it; no earlier state of the pipeline is
-    kept.  The register starts as the amplitudes of
-    ``fourier_basis_state((0,) * n + (d - 1,), d)``, bit for bit, so the
-    state after the query is that state's ``oracle.apply_quantum``.
+    kept.  The pre-query state is never built: the query writes the
+    register from the kickback row, bit for bit the amplitudes of
+    ``oracle.apply_quantum(fourier_basis_state((0,) * n + (d - 1,), d))``,
+    and the layer applied to those gives ``final``.
     """
 
     final: Statevector
@@ -108,11 +110,7 @@ def _fourier_product(s: tuple[int, ...], d: int) -> np.ndarray:
     the next column, and the rest's product is tiled, with the same bits.
     """
     zeros = next((i for i, digit in enumerate(s[:-1]) if digit), len(s) - 1)
-    return _column_product(_fourier_columns(s[zeros:], d), zeros, d)
-
-
-def _column_product(columns: np.ndarray, zeros: int, d: int) -> np.ndarray:
-    """The product of Fourier ``columns`` (one per row) after ``zeros`` leading zero digits."""
+    columns = _fourier_columns(s[zeros:], d)
     amps = columns[0] * math.prod([1 / np.sqrt(d)] * zeros) if zeros else columns[0]
     for column in columns[1:]:
         amps = (amps[:, None] * column).reshape(-1)
@@ -133,15 +131,17 @@ def quantum_bv_states(oracle: LinearOracle) -> QuantumTrace:
     """Run the quantum pipeline once and keep the state it ends in.
 
     Applies the oracle exactly once and one gate layer, all in one register
-    that the solve owns: the Fourier basis state labeled ``0...0, d-1``, which
-    the query and the layer rewrite in place through a scratch block.  The
-    trace hands it on as a read-only ``final``.  Raises a capacity error
-    before allocating if ``d**(n+1)`` is over budget.
+    that the solve owns.  Before the query every row of the register would
+    be the same row, the kickback row scaled by ``1/sqrt(d**n)``, so the
+    register is left unwritten and the query writes it from that row; the
+    layer then rewrites it in place through a scratch block.  The trace
+    hands it on as a read-only ``final``.  Raises a capacity error before
+    allocating if ``d**(n+1)`` is over budget.
 
     The layer's gate, the inverse Fourier gate, is built and validated once
     per ``d`` up to 256 and kept, with the fused powers its layers make;
-    above 256 each solve builds it.  The register's kickback row is that
-    gate's last row, conjugated: bit for bit the Fourier gate's last column.
+    above 256 each solve builds it.  The kickback row is that gate's last
+    row, conjugated: bit for bit the Fourier gate's last column.
 
     The query and the layer sweep a register of more than one block in fixed
     pieces, on as many threads as numpy's BLAS is given (at most
@@ -151,8 +151,8 @@ def quantum_bv_states(oracle: LinearOracle) -> QuantumTrace:
     d, n = oracle.d, oracle.n
     check_capacity(d ** (n + 1), "pipeline register")
     inverse = (_inverse_fourier if d * d <= _BLOCK else _inverse_fourier.__wrapped__)(d)
-    register = _Register(_column_product(inverse.entries[d - 1 :].conj(), n, d), d, n + 1)
-    register = oracle.apply_quantum(register)
+    row = inverse.entries[d - 1].conj() * math.prod([1 / np.sqrt(d)] * n)
+    register = oracle.apply_quantum(_RowRegister(np.empty(d ** (n + 1), np.complex128), d, n + 1, row))
     register = apply_local_gate(register, inverse, *range(1, n + 1))
     return QuantumTrace(Statevector(_Owned(register.amplitudes), d, n + 1))
 

@@ -41,11 +41,10 @@ from .errors import CapacityError, DomainError, check_int, check_type
 from .state import (
     _BLOCK,
     Statevector,
-    _blas_threads,
+    _one_blas_thread,
     _Owned,
     _output,
     _result,
-    _set_blas_threads,
     _split,
     _spread,
     check_dimension,
@@ -292,7 +291,8 @@ def _run_passes(passes: list[tuple[np.ndarray, int]], src: np.ndarray, out: np.n
     depends on its thread count; a run's jobs are spread over as many workers
     as BLAS had threads, at most ``_SHARES`` (see
     :func:`~quditbv.state._spread`), or over one if a job outgrows a piece.
-    The count is restored on return, also when a product raises.
+    The last of any concurrent layers to return restores the count, also
+    when a product raises (see :func:`~quditbv.state._one_blas_thread`).
     """
     piece, workers = _split(out.size, _BLOCK)
     rows = [entries.shape[0] * right for entries, right in passes]
@@ -308,9 +308,7 @@ def _run_passes(passes: list[tuple[np.ndarray, int]], src: np.ndarray, out: np.n
         if x is not dst:
             dst[...] = x.reshape(dst.shape)
 
-    threads = _blas_threads()
-    _set_blas_threads(1)
-    try:
+    with _one_blas_thread():
         i = 0
         while i < len(passes):
             j = i + 1
@@ -339,8 +337,6 @@ def _run_passes(passes: list[tuple[np.ndarray, int]], src: np.ndarray, out: np.n
             scratch = np.empty((count, share), out.dtype) if in_place or j - i > 1 else None
             _spread(block, jobs, count)
             scratch, src, i = None, out, j
-    finally:
-        _set_blas_threads(threads)
 
 
 def apply_sum(state: Statevector, control: int, target: int) -> Statevector:

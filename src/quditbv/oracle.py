@@ -17,7 +17,11 @@ exposes the function ``f(x) = (s . x) mod d`` in two forms:
   exactly, which shares no code with it.  The blocks of a large register
   are spread over as many threads as numpy's BLAS is given, each through its
   own share of the scratch block.  The query rewrites a copy in place; the
-  register a solver owns is rewritten as it is.
+  register a solver owns is rewritten as it is.  The solver's register
+  before its query is unwritten: each of its rows would be the same
+  kickback row, so the query writes every block from the rotations of that
+  row, one ``np.take`` of a table of at most one piece, and builds no index
+  table.
 
 Each call counts as exactly one query, no matter how large a superposition a
 quantum call touches.  Solvers must recover ``s`` through queries alone; the
@@ -32,14 +36,16 @@ from __future__ import annotations
 from typing import Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DomainError, check_int, check_type
-from .state import Statevector, _Register, _result, _split, _spread, check_dimension, validate_digits
+from .state import Statevector, _Register, _result, _RowRegister, _split, _spread, check_dimension, validate_digits
 
 # A quantum query of more than this many amplitudes goes in pieces of half of
 # it, and a group of rows that shares one index table fits in a piece: the
 # scratch block holds 256 KiB and the d tables at most d * 64 KiB of index
-# entries, whatever the register size.
+# entries, whatever the register size.  The fill's d groups of values fit in
+# a piece too, at most 256 KiB.
 _GATHER_CHUNK = 1 << 14
 
 
@@ -86,6 +92,8 @@ class LinearOracle:
         tables built once per call.  The query rewrites a copy in place: the
         input is left unchanged and the result is a new state that adopts
         the copy (only the solver's own register is rewritten as it is).
+        The solver's unwritten register, whose rows are all to be one row, is
+        written from that row's rotations instead, with the same bits.
         """
         d, n = self._d, self._n
         check_type(state, Statevector, "state")
@@ -96,7 +104,11 @@ class LinearOracle:
                 f"oracle acts on {n + 1} qudits, got a state of {state.qudit_count}"
             )
         amps = state.amplitudes if isinstance(state, _Register) else state.amplitudes.copy()
-        _gather_rotated(amps, self.__secret, d)
+        if isinstance(state, _RowRegister):
+            _fill_rotated(amps, state.row, self.__secret, d)
+            state = _Register(amps, d, n + 1)
+        else:
+            _gather_rotated(amps, self.__secret, d)
         self._query_count += 1
         return _result(state, amps)
 
@@ -105,16 +117,16 @@ def _gather_rotated(register: np.ndarray, secret: tuple[int, ...], d: int) -> No
     """All ``SUM**s_i`` gates as one gather, in place: target row ``x`` of ``register`` rotated by ``f(x)``.
 
     ``f`` splits over the big-endian input digits into a lead and a low
-    part, ``f(x) = (f_lead(x_lead) + f_low(x_low)) mod d``, where the low
-    part covers the last ``m`` digits: the most whose group of ``d**m`` rows
-    fits in one piece of the sweep.  All rows of a group share one table of
-    source indices, rotated by the group's lead value ``c``: ``tables[c]``
-    is the table of ``c = 0`` with its columns rotated by ``c``.  The ``d``
-    tables (only ``tables[0]`` on a register of one block, whose lead is
-    empty) are built once from the ``d**m`` low inputs, and ``f_lead`` over
-    the other ``d**(n-m)``, so no ``f`` of all ``d**n`` inputs is formed.
-    When ``d**2`` exceeds a piece, ``m`` is 0 and each group is one row,
-    whose tables are the rows of ``windows`` below, a view.
+    part (see :func:`_lead_low`), where the low part covers the last ``m``
+    digits: the most whose group of ``d**m`` rows fits in one piece of the
+    sweep.  All rows of a group share one table of source indices, rotated
+    by the group's lead value ``c``: ``tables[c]`` is the table of ``c = 0``
+    with its columns rotated by ``c``.  The ``d`` tables (only ``tables[0]``
+    on a register of one block, whose lead is empty) are built once from the
+    ``d**m`` low inputs, and ``f_lead`` over the other ``d**(n-m)``, so no
+    ``f`` of all ``d**n`` inputs is formed.  When ``d**2`` exceeds a piece,
+    ``m`` is 0 and each group is one row, whose tables are the rows of
+    :func:`_rotations`, a view.
 
     A block is as many groups as fit in a piece.  A block of one group is
     one ``np.take`` through its table; the index of a longer one, such as a
@@ -129,25 +141,17 @@ def _gather_rotated(register: np.ndarray, secret: tuple[int, ...], d: int) -> No
     caller has already charged to the budget.  The workers' scratch blocks
     add up to one ``_GATHER_CHUNK``.
     """
-    n = len(secret)
     piece, workers = _split(register.size, _GATHER_CHUNK)
-    m = n  # the low digits: the most, down to none, whose rows fit a piece
-    while m and d ** (m + 1) > piece:
-        m -= 1
-    # The dtype holds an unreduced sum of two digits, at most 2(d-1).
-    steps = (np.multiply.outer(secret, np.arange(d)) % d).astype(np.min_scalar_type(2 * (d - 1)))
-    lead, low = _dot_mod(steps[: n - m], d), _dot_mod(steps[n - m :], d)
-    # Target digit j of row r reads digit (j - f_low(r) - c) mod d.  Row k of
-    # ``windows`` holds (j + k) mod d for j = 0..d-1, as an overlapping view
-    # into 0..d-1 written twice, so row d - (f_low(r) + c) mod d holds them.
-    twice = np.arange(2 * d) % d
-    windows = np.ndarray((d + 1, d), twice.dtype, twice, strides=(twice.itemsize,) * 2)
+    lead, low = _lead_low(secret, d, piece // d)
+    # Target digit j of row r reads digit (j - f_low(r) - c) mod d, which
+    # row (f_low(r) + c) mod d of the rotations of 0..d-1 holds.
+    rotations = _rotations(np.arange(d))
     group = low.size * d  # amplitudes per group
-    if low.size == 1:  # groups of one row: tables[c] is row d - c of windows
-        tables = windows[d:0:-1]
+    if low.size == 1:  # groups of one row: tables[c] is rotations[c]
+        tables = rotations
     else:
         shift = low if lead.size == 1 else (low + np.arange(d)[:, None]) % d
-        tables = windows[d - shift]
+        tables = rotations[shift]
         tables += np.arange(0, group, d)[:, None]  # the start of each row
         tables = tables.reshape(-1, group)
     per = min(max(1, piece // group), lead.size)  # groups per block
@@ -167,6 +171,66 @@ def _gather_rotated(register: np.ndarray, secret: tuple[int, ...], d: int) -> No
         register[lo:hi] = rows
 
     _spread(gather, range(0, lead.size, per), workers)
+
+
+def _fill_rotated(register: np.ndarray, row: np.ndarray, secret: tuple[int, ...], d: int) -> None:
+    """The query of a register whose every target row is ``row``, written into the unwritten ``register``.
+
+    Target row ``x`` is ``row`` rotated by ``f(x)``, so no entry of
+    ``register`` is read.  With ``f`` split as in :func:`_gather_rotated`,
+    the low part over the most last digits whose ``d`` groups of values fit
+    in one piece (``d**(m+2) <= piece``), ``values[c]`` is the whole group
+    of lead value ``c``: its rows are the rotations of ``row`` by
+    ``f_low + c``.  A block of groups is then one ``np.take`` of ``values``
+    straight into the register.  Only ``values[0]`` is built when the lead
+    is empty.  When ``d**2`` exceeds a piece, each group is one row, copied
+    from :func:`_rotations` of ``row``, a view, so no ``d x d`` table is
+    built.  The values hold at most one piece; each copies entries of
+    ``row``, so the result has the bits of the gather of the full register.
+    """
+    piece, workers = _split(register.size, _GATHER_CHUNK)
+    lead, low = _lead_low(secret, d, piece // (d * d))
+    rotations = _rotations(row)
+    group = low.size * d  # amplitudes per group
+    if d * d > piece:  # groups of one row: values[c] is rotations[c]
+        values = rotations
+    else:
+        shift = low if lead.size == 1 else (low + np.arange(d)[:, None]) % d
+        values = rotations[shift].reshape(-1, group)
+    per = min(max(1, piece // group), lead.size)  # groups per block
+
+    def fill(g: int, w: int) -> None:
+        rows = register[g * group : min(g + per, lead.size) * group].reshape(-1, group)
+        if values is rotations:  # np.take would copy the view whole
+            rows[...] = values[lead[g : g + per]]
+        else:  # indices are in range; mode="raise" would buffer the output
+            np.take(values, lead[g : g + per], axis=0, out=rows, mode="clip")
+
+    _spread(fill, range(0, lead.size, per), workers)
+
+
+def _lead_low(secret: tuple[int, ...], d: int, room: int) -> tuple[np.ndarray, np.ndarray]:
+    """``f``'s lead and low parts, ``f(x) = (f_lead(x_lead) + f_low(x_low)) mod d``.
+
+    The low part covers the last ``m`` digits, the most (down to none) with
+    ``d**m <= room``; ``f_lead`` runs over the other ``d**(n-m)`` inputs.
+    """
+    n = len(secret)
+    m = n
+    while m and d**m > room:
+        m -= 1
+    # The dtype holds an unreduced sum of two digits, at most 2(d-1).
+    steps = (np.multiply.outer(secret, np.arange(d)) % d).astype(np.min_scalar_type(2 * (d - 1)))
+    return _dot_mod(steps[: n - m], d), _dot_mod(steps[n - m :], d)
+
+
+def _rotations(values: np.ndarray) -> np.ndarray:
+    """Every rotation of ``values`` as a read-only view: row ``v`` is ``values[(j - v) % d]`` for ``j < d``.
+
+    Its rows are windows, last first, into ``values`` written twice.
+    """
+    d = values.size
+    return sliding_window_view(np.concatenate([values, values]), d)[d:0:-1]
 
 
 def _dot_mod(steps: np.ndarray, d: int) -> np.ndarray:

@@ -11,6 +11,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import functools
 import threading
@@ -78,11 +79,40 @@ def _blas_threads() -> int:
     return 1 if blas is None else blas[0]()
 
 
-def _set_blas_threads(count: int) -> None:
-    """Set numpy's OpenBLAS thread count, where numpy runs on scipy-openblas."""
+# Layers holding numpy's BLAS at one thread, and the count the first of them
+# found; both change only under the lock.
+_pin_lock = threading.Lock()
+_pin_depth = 0
+_pin_saved = 1
+
+
+@contextlib.contextmanager
+def _one_blas_thread() -> Iterator[None]:
+    """Hold numpy's OpenBLAS at one thread while the block runs, in every thread that enters.
+
+    The first to enter saves the library's thread count and sets 1; the last
+    to leave restores the count, also when its block raises.  So concurrent
+    layers cannot restore each other's pin and leave BLAS at one thread.
+    Without scipy-openblas there is no count to hold.
+    """
+    global _pin_depth, _pin_saved
     blas = _openblas()
-    if blas is not None:
-        blas[1](count)
+    if blas is None:
+        yield
+        return
+    get, put = blas
+    with _pin_lock:
+        if not _pin_depth:
+            _pin_saved = get()
+            put(1)
+        _pin_depth += 1
+    try:
+        yield
+    finally:
+        with _pin_lock:
+            _pin_depth -= 1
+            if not _pin_depth:
+                put(_pin_saved)
 
 
 def _spread(run: Callable[[object, int], None], jobs: Sequence, workers: int) -> None:
@@ -236,6 +266,18 @@ class _Register(Statevector):
 
     def __post_init__(self) -> None:
         pass
+
+
+@dataclass(frozen=True, eq=False)
+class _RowRegister(_Register):
+    """A solver's register before its query: unwritten, its every target row to be ``row``.
+
+    The array holds no amplitudes yet.  :meth:`LinearOracle.apply_quantum`
+    writes it whole from ``row``, each input's row rotated by ``f(x)``, and
+    returns it as a plain :class:`_Register`; nothing else may be given one.
+    """
+
+    row: np.ndarray
 
 
 def _output(state: Statevector) -> np.ndarray:

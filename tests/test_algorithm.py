@@ -284,8 +284,9 @@ class TestQuantumTrace:
     @pytest.mark.parametrize("d,n", [(2, 18), (16, 4)])
     @pytest.mark.parametrize("solve", [quantum_bv_states, run_quantum_bv], ids=lambda f: f.__name__)
     def test_traced_peak_is_at_most_two_and_a_quarter_states(self, solve, d, n, traced_peak):
-        # One register, which prep, query and layer rewrite in place, and the
-        # readout's marginal: at most about 1.4 states (see the test below).
+        # One register, which the query writes and the layer rewrites in
+        # place, and the readout's marginal: at most about 1.4 states (see
+        # the test below).
         oracle = LinearOracle(random_secret(d, n, np.random.default_rng(d * n)), d)
         _, peak = traced_peak(solve, oracle)
         assert peak <= 2.25 * d ** (n + 1) * np.dtype(np.complex128).itemsize
@@ -293,13 +294,21 @@ class TestQuantumTrace:
     @pytest.mark.parametrize("d,n", [(2, 18), (16, 4)])
     @pytest.mark.parametrize("solve", [quantum_bv_states, run_quantum_bv], ids=lambda f: f.__name__)
     def test_traced_peak_is_one_register_and_scratch(self, solve, d, n, traced_peak):
-        # One register with the scratch blocks of prep, query and layer; the
+        # One register with the scratch blocks of query and layer; the
         # readout adds its marginal of d**n floats and squares no more than a
         # block at a time.
         oracle = LinearOracle(random_secret(d, n, np.random.default_rng(d * n)), d)
         _, peak = traced_peak(solve, oracle)
         marginal = 8 * d**n if solve is run_quantum_bv else 0
         assert peak <= 1.2 * d ** (n + 1) * np.dtype(np.complex128).itemsize + marginal
+
+    @pytest.mark.parametrize("d,n", [(90, 2), (64, 2)])
+    def test_traced_peak_at_mid_d_is_one_register_and_a_block(self, d, n, traced_peak):
+        # The query writes the register from the kickback row, through no
+        # index tables, so beside it there is the layer's scratch block.
+        oracle = LinearOracle(random_secret(d, n, np.random.default_rng(d * n)), d)
+        trace, peak = traced_peak(quantum_bv_states, oracle)
+        assert peak <= 1.3 * trace.final.amplitudes.nbytes
 
 
 class TestForwardKernelVariant:

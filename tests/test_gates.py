@@ -22,7 +22,7 @@ from quditbv import (
     sum_matrix,
 )
 from quditbv.gates import _BLOCK, FUSED_SIDE_LIMIT, _layer_passes
-from quditbv.state import _blas_threads, _Register, _set_blas_threads
+from quditbv.state import _one_blas_thread, _Register
 from quditbv.verification import TOL_ALGEBRA
 
 
@@ -52,17 +52,13 @@ def whole_register_passes(state, gate, positions):
     some OpenBLAS kernels split a product's sums differently over threads.
     """
     amps = state.amplitudes
-    threads = _blas_threads()
-    _set_blas_threads(1)
-    try:
+    with _one_blas_thread():
         for entries, right in _layer_passes(gate, positions, state.qudit_count):
             side = entries.shape[0]
             if right == 1:
                 amps = np.matmul(amps.reshape(-1, side), entries.T).reshape(-1)
             else:
                 amps = np.matmul(entries, amps.reshape(-1, side, right)).reshape(-1)
-    finally:
-        _set_blas_threads(threads)
     return amps
 
 

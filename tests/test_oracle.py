@@ -11,11 +11,12 @@ from quditbv import (
     apply_sum,
     basis_state,
     decode_index,
+    quantum_bv_states,
     random_secret,
 )
 from quditbv.algorithm import _fourier_product
 from quditbv.oracle import _GATHER_CHUNK
-from quditbv.state import _Register
+from quditbv.state import _Register, _RowRegister
 
 
 def random_state(d, k, rng):
@@ -40,6 +41,18 @@ def scatter_reference(state, secret):
     expected = np.empty_like(rows)
     expected[np.arange(d**n)[:, None], (np.arange(d) + f[:, None]) % d] = rows
     return expected.reshape(-1)
+
+
+def pre_query_register(d, n):
+    """The register the solve queries, as the labeled Fourier state ``0...0, d-1``."""
+    return _Register(_fourier_product((0,) * n + (d - 1,), d), d, n + 1)
+
+
+def solve_path_query(oracle):
+    """The register the solve's query writes from the kickback row, read with the layer left out."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("quditbv.algorithm.apply_local_gate", lambda register, gate, *positions: register)
+        return quantum_bv_states(oracle).final.amplitudes
 
 
 def assert_query_equals(state, secret, expected):
@@ -182,12 +195,18 @@ class TestApplyQuantum:
         assert peak <= 1.5 * state.amplitudes.nbytes
 
     @pytest.mark.parametrize("d,n", [(2, 20), (16, 4), (64, 3), (1024, 1)])
-    def test_in_place_query_holds_at_most_4_mib(self, d, n, traced_peak):
-        # Its tables hold at most d pieces of index entries, and its scratch
-        # one gather block, whatever the register size; at d = 1024 each
-        # group is one row, whose tables are views.
+    @pytest.mark.parametrize("solve_path", [False, True], ids=["gather", "fill"])
+    def test_in_place_query_holds_at_most_4_mib(self, d, n, solve_path, traced_peak):
+        # The gather's tables hold at most d pieces of index entries, and its
+        # scratch one gather block, whatever the register size; the fill's
+        # values hold one piece.  At d = 1024 each group is one row, read
+        # from a view.
         oracle = LinearOracle(random_secret(d, n, np.random.default_rng(d)), d)
-        register = _Register(_fourier_product((0,) * n + (d - 1,), d), d, n + 1)
+        if solve_path:
+            row = _fourier_product((d - 1,), d) / np.sqrt(d**n)
+            register = _RowRegister(np.empty(d ** (n + 1), complex), d, n + 1, row)
+        else:
+            register = pre_query_register(d, n)
         _, peak = traced_peak(oracle.apply_quantum, register)
         assert peak <= 4 * 2**20
 
@@ -279,6 +298,40 @@ class TestApplyQuantum:
             oracle.apply_quantum(basis_state((0, 0), 3))  # needs n+1 = 3 qudits
         with pytest.raises(DomainError):
             oracle.apply_quantum(basis_state((0, 0, 0), 2))  # wrong dimension
+
+
+class TestSolvePathQuery:
+    """The solve's query writes its register from the kickback row, never built as a whole state."""
+
+    @pytest.mark.parametrize("d,n", [(2, 14), (3, 9), (7, 5), (90, 2), (129, 1), (256, 1)])
+    def test_equals_the_query_of_the_pre_query_state(self, d, n):
+        # Bit for bit, signed zeros included.  (2, 14), (3, 9) and (7, 5)
+        # take several blocks of groups of rows; (90, 2) groups of one row
+        # from a d x d table; (129, 1) and (256, 1) rows from a view.
+        rng = np.random.default_rng(d * n + 2)
+        for secret in (random_secret(d, n, rng), (0,) * n, (d - 1,) * n):
+            oracle = LinearOracle(secret, d)
+            found = solve_path_query(oracle)
+            assert oracle.query_count == 1
+            expected = oracle.apply_quantum(pre_query_register(d, n)).amplitudes
+            assert np.array_equal(found.view(np.uint64), expected.view(np.uint64)), secret
+
+    # With gather blocks of 64 amplitudes (pieces of 32 above one block),
+    # the fill takes every route: one block with an empty lead (d**(n+2) <=
+    # 64); blocks of groups from a table of d groups (d**2 within a piece);
+    # and rows from a view, once d**2 exceeds a piece (d >= 6 above one
+    # block).
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_property_equals_the_query_of_the_pre_query_state_in_small_blocks(self, data):
+        d, n, secret = data.draw(small_instances(), label="instance")
+        oracle = LinearOracle(secret, d)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr("quditbv.oracle._GATHER_CHUNK", 64)
+            found = solve_path_query(oracle)
+            assert oracle.query_count == 1
+            expected = oracle.apply_quantum(pre_query_register(d, n)).amplitudes
+        assert np.array_equal(found.view(np.uint64), expected.view(np.uint64))
 
 
 class TestQueryAccounting:

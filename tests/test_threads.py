@@ -21,7 +21,7 @@ from quditbv import (
     random_secret,
 )
 from quditbv.algorithm import _inverse_fourier
-from quditbv.state import _BLOCK, _blas_threads, _openblas, _Owned, _Register, _set_blas_threads
+from quditbv.state import _BLOCK, _blas_threads, _openblas, _Owned, _Register
 
 from test_gates import LAYER_CASES, LAYER_IDS, random_state
 
@@ -140,10 +140,39 @@ def test_first_solves_at_one_dimension_on_two_threads_equal_a_serial_solve(d, n)
             assert finals == [serial, serial]
     finally:
         sys.setswitchinterval(interval)
-        _set_blas_threads(threads_before)  # concurrent layers can leave BLAS pinned to one thread
+    assert _blas_threads() == threads_before  # the last layer to leave restores the count
 
 
 needs_openblas = pytest.mark.skipif(_openblas() is None, reason="numpy is not built on scipy-openblas")
+
+
+@needs_openblas
+def test_concurrent_solves_leave_the_blas_thread_count_as_they_found_it():
+    # Each layer holds BLAS at one thread.  A layer that saved the count
+    # while another held it would restore 1 after the other restored 2.
+    get, put = _openblas()
+    before, interval = get(), sys.getswitchinterval()
+    secret = random_secret(3, 6, np.random.default_rng(36))
+    put(2)
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(200):
+            barrier = threading.Barrier(2, timeout=30)
+
+            def solve_after_barrier():
+                barrier.wait()
+                quantum_bv_states(LinearOracle(secret, 3))
+
+            pair = [threading.Thread(target=solve_after_barrier) for _ in range(2)]
+            for thread in pair:
+                thread.start()
+            for thread in pair:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in pair)
+            assert get() == 2
+    finally:
+        sys.setswitchinterval(interval)
+        put(before)
 
 
 @needs_openblas
