@@ -292,7 +292,7 @@ def _run_passes(passes: list[tuple[np.ndarray, int]], src: np.ndarray, out: np.n
     as BLAS had threads, at most ``_SHARES`` (see
     :func:`~quditbv.state._spread`), or over one if a job outgrows a piece.
     The last of any concurrent layers to return restores the count, also
-    when a product raises (see :func:`~quditbv.state._one_blas_thread`).
+    when a product raises (see :class:`~quditbv.state._BlasPin`).
     """
     piece, workers = _split(out.size, _BLOCK)
     rows = [entries.shape[0] * right for entries, right in passes]
@@ -308,7 +308,7 @@ def _run_passes(passes: list[tuple[np.ndarray, int]], src: np.ndarray, out: np.n
         if x is not dst:
             dst[...] = x.reshape(dst.shape)
 
-    with _one_blas_thread():
+    with _one_blas_thread:
         i = 0
         while i < len(passes):
             j = i + 1

@@ -11,7 +11,6 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-import contextlib
 import ctypes
 import functools
 import threading
@@ -79,40 +78,38 @@ def _blas_threads() -> int:
     return 1 if blas is None else blas[0]()
 
 
-# Layers holding numpy's BLAS at one thread, and the count the first of them
-# found; both change only under the lock.
-_pin_lock = threading.Lock()
-_pin_depth = 0
-_pin_saved = 1
+class _BlasPin:
+    """Holds numpy's OpenBLAS at one thread while any layer runs, in any thread.
 
-
-@contextlib.contextmanager
-def _one_blas_thread() -> Iterator[None]:
-    """Hold numpy's OpenBLAS at one thread while the block runs, in every thread that enters.
-
-    The first to enter saves the library's thread count and sets 1; the last
-    to leave restores the count, also when its block raises.  So concurrent
-    layers cannot restore each other's pin and leave BLAS at one thread.
-    Without scipy-openblas there is no count to hold.
+    ``with _one_blas_thread:`` enters it.  The first layer to enter saves
+    the library's thread count and sets 1; the last to leave restores the
+    count, also when its block raises.  So concurrent layers cannot restore
+    each other's pin and leave BLAS at one thread.  Without scipy-openblas
+    there is no count to hold.
     """
-    global _pin_depth, _pin_saved
-    blas = _openblas()
-    if blas is None:
-        yield
-        return
-    get, put = blas
-    with _pin_lock:
-        if not _pin_depth:
-            _pin_saved = get()
-            put(1)
-        _pin_depth += 1
-    try:
-        yield
-    finally:
-        with _pin_lock:
-            _pin_depth -= 1
-            if not _pin_depth:
-                put(_pin_saved)
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._depth = 0  # layers inside
+        self._saved = 1
+
+    def __enter__(self) -> None:
+        blas = _openblas()
+        with self._lock:
+            if blas is not None and not self._depth:
+                self._saved = blas[0]()
+                blas[1](1)
+            self._depth += 1
+
+    def __exit__(self, *exc: object) -> None:
+        blas = _openblas()
+        with self._lock:
+            self._depth -= 1
+            if blas is not None and not self._depth:
+                blas[1](self._saved)
+
+
+_one_blas_thread = _BlasPin()
 
 
 def _spread(run: Callable[[object, int], None], jobs: Sequence, workers: int) -> None:

@@ -52,7 +52,7 @@ def whole_register_passes(state, gate, positions):
     some OpenBLAS kernels split a product's sums differently over threads.
     """
     amps = state.amplitudes
-    with _one_blas_thread():
+    with _one_blas_thread:
         for entries, right in _layer_passes(gate, positions, state.qudit_count):
             side = entries.shape[0]
             if right == 1:

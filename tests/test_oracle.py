@@ -194,8 +194,14 @@ class TestApplyQuantum:
         _, peak = traced_peak(oracle.apply_quantum, state)
         assert peak <= 1.5 * state.amplitudes.nbytes
 
-    @pytest.mark.parametrize("d,n", [(2, 20), (16, 4), (64, 3), (1024, 1)])
-    @pytest.mark.parametrize("solve_path", [False, True], ids=["gather", "fill"])
+    @pytest.mark.parametrize(
+        "d,n,solve_path",
+        [
+            pytest.param(d, n, solve_path, id=f"fill-{d}-{n}" if solve_path else f"{d}-{n}")
+            for solve_path in (False, True)
+            for d, n in ((2, 20), (16, 4), (64, 3), (1024, 1))
+        ],
+    )
     def test_in_place_query_holds_at_most_4_mib(self, d, n, solve_path, traced_peak):
         # The gather's tables hold at most d pieces of index entries, and its
         # scratch one gather block, whatever the register size; the fill's
