@@ -9,19 +9,18 @@ exposes the function ``f(x) = (s . x) mod d`` in two forms:
   the paper's product of ``SUM**s_i`` gates from input qudit ``i`` to the
   target.  They all act on the target, so they commute, and their product
   is one modular add: the target row of each input ``x`` is rotated by
-  ``f(x)``.  The query runs it as one gather, a block of rows at a time
-  through one scratch block.  Rows whose inputs share their leading digits
-  share one table of source indices, rotated by the leading digits' part of
-  ``f``, so a block is one ``np.take`` through a table built once per call.
-  The query equals the chain of :func:`~quditbv.gates.apply_sum` calls
-  exactly, which shares no code with it.  The blocks of a large register
-  are spread over as many threads as numpy's BLAS is given, each through its
-  own share of the scratch block.  The query rewrites a copy in place; the
-  register a solver owns is rewritten as it is.  The solver's register
-  before its query is unwritten: each of its rows would be the same
-  kickback row, so the query writes every block from the rotations of that
-  row, one ``np.take`` of a table of at most one piece, and builds no index
-  table.
+  ``f(x)``.  The query runs it as one gather, a block of rows at a time,
+  from the input straight into a new state.  ``f`` is split once (see
+  :func:`_groups`): rows whose inputs share their leading digits form a
+  group, whose source indices are one table, the rotations of ``0..d-1``
+  by the low digits' part of ``f`` plus the lead value, so a block of groups
+  is one ``np.take`` through tables built once per call.  The query equals
+  the chain of :func:`~quditbv.gates.apply_sum` calls exactly, which shares
+  no code with it.  The blocks of a large register are spread over as many
+  threads as numpy's BLAS is given.  The solver's register before its query
+  is unwritten: each of its rows would be the same kickback row, so the
+  query writes that register, as it is, through the same split of the
+  rotations of that row, and builds no index table.
 
 Each call counts as exactly one query, no matter how large a superposition a
 quantum call touches.  Solvers must recover ``s`` through queries alone; the
@@ -38,13 +37,12 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError, check_int, check_type
-from .state import Statevector, _Register, _result, _RowRegister, _split, _spread, check_dimension, validate_digits
+from .state import Statevector, _Owned, _Register, _RowRegister, _split, _spread, check_dimension, validate_digits
 
 # A quantum query of more than this many amplitudes goes in pieces of half of
-# it, and a group of rows that shares one index table fits in a piece: the
-# scratch block holds 256 KiB and the d tables at most d * 64 KiB of index
-# entries, whatever the register size.  The fill's d groups of values fit in
-# a piece too, at most 256 KiB.
+# it.  The d groups of rows that share their low digits fit in a piece, so
+# the gather's tables, each block's index and the fill's values hold at most
+# one piece, whatever the register size; the query holds no scratch block.
 _GATHER_CHUNK = 1 << 14
 
 
@@ -87,12 +85,10 @@ class LinearOracle:
         The action is a pure permutation of amplitudes, equal to ``SUM**s_i``
         from each input qudit ``i`` to the target.  It runs as one gather:
         each output amplitude is read once, a block of inputs at a time,
-        from the target row of its input rotated by ``f(x)``, through index
-        tables built once per call.  The query rewrites a copy in place: the
-        input is left unchanged and the result is a new state that adopts
-        the copy (only the solver's own register is rewritten as it is).
-        The solver's unwritten register, whose rows are all to be one row, is
-        written from that row's rotations instead, with the same bits.
+        from the target row of its input rotated by ``f(x)``, straight into
+        a new state; the input is left unchanged.  Only the solver's
+        unwritten register, whose rows are all to be one row, is written as
+        it is, from that row's rotations, with the same bits.
         """
         d, n = self._d, self._n
         check_type(state, Statevector, "state")
@@ -102,105 +98,62 @@ class LinearOracle:
             raise DomainError(
                 f"oracle acts on {n + 1} qudits, got a state of {state.qudit_count}"
             )
-        amps = state.amplitudes if isinstance(state, _Register) else state.amplitudes.copy()
         if isinstance(state, _RowRegister):
-            _fill_rotated(amps, state.row, self.__secret, d)
-            state = _Register(amps, d, n + 1)
+            _fill_rotated(state.amplitudes, state.row, self.__secret, d)
+            out = _Register(state.amplitudes, d, n + 1)
         else:
-            _gather_rotated(amps, self.__secret, d)
+            amps = np.empty_like(state.amplitudes)
+            _gather_rotated(amps, state.amplitudes, self.__secret, d)
+            out = Statevector(_Owned(amps), d, n + 1)
         self._query_count += 1
-        return _result(state, amps)
+        return out
 
 
-def _gather_rotated(register: np.ndarray, secret: tuple[int, ...], d: int) -> None:
-    """All ``SUM**s_i`` gates as one gather, in place: target row ``x`` of ``register`` rotated by ``f(x)``.
+def _gather_rotated(out: np.ndarray, src: np.ndarray, secret: tuple[int, ...], d: int) -> None:
+    """All ``SUM**s_i`` gates as one gather: target row ``x`` of ``out`` is that of ``src`` rotated by ``f(x)``.
 
-    ``f`` splits over the big-endian input digits into a lead and a low
-    part (see :func:`_lead_low`), where the low part covers the last ``m``
-    digits: the most whose group of ``d**m`` rows fits in one piece of the
-    sweep.  All rows of a group share one table of source indices, rotated
-    by the group's lead value ``c``: ``tables[c]`` is the table of ``c = 0``
-    with its columns rotated by ``c``.  The ``d`` tables (only ``tables[0]``
-    on a register of one block, whose lead is empty) are built once from the
-    ``d**m`` low inputs, and ``f_lead`` over the other ``d**(n-m)``, so no
-    ``f`` of all ``d**n`` inputs is formed.  When ``d**2`` exceeds a piece,
-    ``m`` is 0 and each group is one row, whose tables are the rows of
-    :func:`_rotations`, a view.
-
-    A block is as many groups as fit in a piece.  A block of one group is
-    one ``np.take`` through its table; the index of a longer one, such as a
-    block of rows, is its groups' tables, each offset to its group.  Each
-    block is gathered into the worker's share of a scratch block, which is
-    then copied back over it.
-
-    Tables are built only for groups of more than one row, so for
-    ``d**2 <= piece``: they hold at most ``d`` pieces of index entries, at
-    most ``piece**1.5`` (5.6 MiB at 8 bytes each), and at most
-    ``d**(m+2) <= d**(n+1)``, never more than half the register that the
-    caller has already charged to the budget.  The workers' scratch blocks
-    add up to one ``_GATHER_CHUNK``.
+    Target digit ``j`` of row ``r`` reads digit ``(j - f(r)) mod d``, which
+    row ``f(r)`` of the rotations of ``0..d-1`` holds, so :func:`_groups` of
+    those rotations gives each group's source digits.  A block of groups'
+    index is their tables, each row offset by its start in the block, and
+    the block is one ``np.take`` from ``src`` straight into ``out``.  The
+    tables hold at most one piece of index entries, and so does each block's
+    index, whatever the register size.
     """
-    piece, workers = _split(register.size, _GATHER_CHUNK)
-    lead, low = _lead_low(secret, d, piece // d)
-    # Target digit j of row r reads digit (j - f_low(r) - c) mod d, which
-    # row (f_low(r) + c) mod d of the rotations of 0..d-1 holds.
-    rotations = _rotations(np.arange(d))
-    group = low.size * d  # amplitudes per group
-    if low.size == 1:  # groups of one row: tables[c] is rotations[c]
-        tables = rotations
-    else:
-        shift = low if lead.size == 1 else (low + np.arange(d)[:, None]) % d
-        tables = rotations[shift]
-        tables += np.arange(0, group, d)[:, None]  # the start of each row
-        tables = tables.reshape(-1, group)
+    piece, workers = _split(src.size, _GATHER_CHUNK)
+    lead, tables = _groups(np.arange(d), secret, d, piece)
+    group = tables.shape[1]  # amplitudes per group
     per = min(max(1, piece // group), lead.size)  # groups per block
-    offsets = np.arange(0, per * group, group)[:, None]
-    scratch = np.empty((workers, per * group), register.dtype)
+    starts = np.arange(0, per * group, d)[:, None]
 
     def gather(g: int, w: int) -> None:
         lo, hi = g * group, min(g + per, lead.size) * group
-        if per == 1:
-            index = tables[lead[g]]
-        else:
-            index = tables[lead[g : g + per]]
-            index += offsets[: index.shape[0]]
-        rows = scratch[w, : hi - lo]
+        index = tables[lead[g : g + per]].reshape(-1, d)
+        index += starts[: index.shape[0]]
         # Indices are in range; mode="raise" would buffer the output.
-        np.take(register[lo:hi], index, out=rows.reshape(index.shape), mode="clip")
-        register[lo:hi] = rows
+        np.take(src[lo:hi], index, out=out[lo:hi].reshape(index.shape), mode="clip")
 
     _spread(gather, range(0, lead.size, per), workers)
 
 
-def _fill_rotated(register: np.ndarray, row: np.ndarray, secret: tuple[int, ...], d: int) -> None:
-    """The query of a register whose every target row is ``row``, written into the unwritten ``register``.
+def _fill_rotated(out: np.ndarray, row: np.ndarray, secret: tuple[int, ...], d: int) -> None:
+    """The query of a register whose every target row is ``row``, written into the unwritten ``out``.
 
-    Target row ``x`` is ``row`` rotated by ``f(x)``, so no entry of
-    ``register`` is read.  With ``f`` split as in :func:`_gather_rotated`,
-    the low part over the most last digits whose ``d`` groups of values fit
-    in one piece (``d**(m+2) <= piece``), ``values[c]`` is the whole group
-    of lead value ``c``: its rows are the rotations of ``row`` by
-    ``f_low + c``.  A block of groups is then one ``np.take`` of ``values``
-    straight into the register.  Only ``values[0]`` is built when the lead
-    is empty.  When ``d**2`` exceeds a piece, each group is one row, copied
-    from :func:`_rotations` of ``row``, a view, so no ``d x d`` table is
-    built.  The values hold at most one piece; each copies entries of
-    ``row``, so the result has the bits of the gather of the full register.
+    Target row ``x`` is ``row`` rotated by ``f(x)``, so no amplitude is
+    read: :func:`_groups` of the rotations of ``row`` gives each group's
+    values, and a block of groups is one ``np.take`` of them straight into
+    ``out``.  Each copies entries of ``row``, so the result has the bits of
+    the gather of the full register.
     """
-    piece, workers = _split(register.size, _GATHER_CHUNK)
-    lead, low = _lead_low(secret, d, piece // (d * d))
-    rotations = _rotations(row)
-    group = low.size * d  # amplitudes per group
-    if d * d > piece:  # groups of one row: values[c] is rotations[c]
-        values = rotations
-    else:
-        shift = low if lead.size == 1 else (low + np.arange(d)[:, None]) % d
-        values = rotations[shift].reshape(-1, group)
+    piece, workers = _split(out.size, _GATHER_CHUNK)
+    lead, values = _groups(row, secret, d, piece)
+    group = values.shape[1]  # amplitudes per group
     per = min(max(1, piece // group), lead.size)  # groups per block
+    view = d * d > piece
 
     def fill(g: int, w: int) -> None:
-        rows = register[g * group : min(g + per, lead.size) * group].reshape(-1, group)
-        if values is rotations:  # np.take would copy the view whole
+        rows = out[g * group : min(g + per, lead.size) * group].reshape(-1, group)
+        if view:  # np.take would copy the view whole
             rows[...] = values[lead[g : g + per]]
         else:  # indices are in range; mode="raise" would buffer the output
             np.take(values, lead[g : g + per], axis=0, out=rows, mode="clip")
@@ -208,19 +161,31 @@ def _fill_rotated(register: np.ndarray, row: np.ndarray, secret: tuple[int, ...]
     _spread(fill, range(0, lead.size, per), workers)
 
 
-def _lead_low(secret: tuple[int, ...], d: int, room: int) -> tuple[np.ndarray, np.ndarray]:
-    """``f``'s lead and low parts, ``f(x) = (f_lead(x_lead) + f_low(x_low)) mod d``.
+def _groups(values: np.ndarray, secret: tuple[int, ...], d: int, piece: int) -> tuple[np.ndarray, np.ndarray]:
+    """``f``'s lead values, and for each lead value ``c`` its group's rows: ``values`` rotated by ``f_low + c``.
 
-    The low part covers the last ``m`` digits, the most (down to none) with
-    ``d**m <= room``; ``f_lead`` runs over the other ``d**(n-m)`` inputs.
+    ``f(x) = (f_lead(x_lead) + f_low(x_low)) mod d`` over the big-endian
+    input digits, where the low part covers the last ``m`` digits: the most
+    (down to none) whose ``d`` groups of ``d**m`` rows fit in one piece,
+    ``d**(m+2) <= piece``.  ``f_lead`` runs over the other ``d**(n-m)``
+    inputs, so no ``f`` of all ``d**n`` inputs is formed.  ``groups[c]`` is
+    the group of lead value ``c``; only ``groups[0]`` is built when the lead
+    is empty.  When ``d**2`` exceeds a piece, each group is one row and
+    ``groups`` is :func:`_rotations` of ``values``, a view, so no ``d x d``
+    table is built.
     """
     n = len(secret)
     m = n
-    while m and d**m > room:
+    while m and d ** (m + 2) > piece:
         m -= 1
     # The dtype holds an unreduced sum of two digits, at most 2(d-1).
     steps = (np.multiply.outer(secret, np.arange(d)) % d).astype(np.min_scalar_type(2 * (d - 1)))
-    return _dot_mod(steps[: n - m], d), _dot_mod(steps[n - m :], d)
+    lead, low = _dot_mod(steps[: n - m], d), _dot_mod(steps[n - m :], d)
+    rotations = _rotations(values)
+    if d * d > piece:
+        return lead, rotations
+    shift = low if lead.size == 1 else (low + np.arange(d)[:, None]) % d
+    return lead, rotations[shift].reshape(-1, low.size * d)
 
 
 def _rotations(values: np.ndarray) -> np.ndarray:

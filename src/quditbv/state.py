@@ -249,16 +249,17 @@ def _check_finite(amps: np.ndarray) -> None:
 
 
 class _Register(Statevector):
-    """A register that a solver owns and that the kernels rewrite in place.
+    """A register that a solver owns and that the layer rewrites in place.
 
     ``_Register(amps, d, k)`` adopts ``amps``, a fresh, writeable,
     C-contiguous complex128 array of ``d**k`` entries, as is: the solver
     builds it from validated parts, and it is not checked again here.  Given
-    one, :meth:`LinearOracle.apply_quantum` and :func:`apply_local_gate` write
-    their result into it and return it; given any other state, they return a
-    new one.  It never leaves the solver: the solver hands on a plain
-    :class:`Statevector` that adopts the array, which validates it in full
-    and makes it read-only.
+    one, :func:`apply_local_gate` writes its result into it and returns it;
+    given any other state, it returns a new one.
+    :meth:`LinearOracle.apply_quantum` reads one like any state and returns
+    a new state; it rewrites only a :class:`_RowRegister`.  A register never
+    leaves the solver: the solver hands on a plain :class:`Statevector` that
+    adopts the array, which validates it in full and makes it read-only.
     """
 
     def __post_init__(self) -> None:
@@ -269,9 +270,10 @@ class _Register(Statevector):
 class _RowRegister(_Register):
     """A solver's register before its query: unwritten, its every target row to be ``row``.
 
-    The array holds no amplitudes yet.  :meth:`LinearOracle.apply_quantum`
-    writes it whole from ``row``, each input's row rotated by ``f(x)``, and
-    returns it as a plain :class:`_Register`; nothing else may be given one.
+    The array holds no amplitudes yet.  It is the one register that
+    :meth:`LinearOracle.apply_quantum` rewrites: the query writes it whole
+    from ``row``, each input's row rotated by ``f(x)``, and returns it as a
+    plain :class:`_Register` for the layer; nothing else may be given one.
     """
 
     row: np.ndarray

@@ -98,6 +98,7 @@ def gram_check(d: int, n: int) -> CheckResult:
         raise CapacityError(
             f"gram check over {count} states exceeds the limit of {GRAM_SIZE_LIMIT}"
         )
+    check_capacity(count * count, "Gram matrix")
     rows = np.empty((count, count), dtype=np.complex128)
     for row, label in enumerate(all_digit_strings(d, n)):
         rows[row] = fourier_basis_state(label, d).amplitudes
@@ -165,6 +166,7 @@ def dense_reference_bv(secret: Sequence[int], d: int) -> Statevector:
     inputs, target = np.divmod(np.arange(size), d)
     digits = inputs[:, None] // d ** np.arange(n - 1, -1, -1) % d
     rows = inputs * d + (target + digits @ np.array(secret)) % d
+    check_capacity(size * size, "dense oracle matrix")  # the layers' own check is skipped once cached
     oracle_matrix = np.zeros((size, size), dtype=np.complex128)
     oracle_matrix[rows, np.arange(size)] = 1.0
     initial = np.zeros(size, dtype=np.complex128)

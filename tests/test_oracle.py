@@ -56,12 +56,14 @@ def solve_path_query(oracle):
 
 
 def assert_query_equals(state, secret, expected):
-    """The query of ``state``, out of place and in place on a register, equals ``expected``."""
+    """The query of ``state``, and of a register holding it, equals ``expected``, each a new state."""
     oracle = LinearOracle(secret, state.d)
     assert np.array_equal(oracle.apply_quantum(state).amplitudes, expected)
     register = _Register(state.amplitudes.copy(), state.d, state.qudit_count)
-    assert oracle.apply_quantum(register) is register
-    assert np.array_equal(register.amplitudes, expected)
+    out = oracle.apply_quantum(register)
+    assert not np.shares_memory(out.amplitudes, register.amplitudes)
+    assert np.array_equal(out.amplitudes, expected)
+    assert np.array_equal(register.amplitudes, state.amplitudes)
 
 
 @st.composite
@@ -203,30 +205,34 @@ class TestApplyQuantum:
         ],
     )
     def test_in_place_query_holds_at_most_4_mib(self, d, n, solve_path, traced_peak):
-        # The gather's tables hold at most d pieces of index entries, and its
-        # scratch one gather block, whatever the register size; the fill's
-        # values hold one piece.  At d = 1024 each group is one row, read
-        # from a view.
+        # Beyond its result, the gather's tables and each block's index hold
+        # at most one piece of index entries, whatever the register size; the
+        # fill writes the register it is given, and its values hold one
+        # piece.  At d = 1024 each group is one row, read from a view.
         oracle = LinearOracle(random_secret(d, n, np.random.default_rng(d)), d)
         if solve_path:
             row = _fourier_product((d - 1,), d) / np.sqrt(d**n)
             register = _RowRegister(np.empty(d ** (n + 1), complex), d, n + 1, row)
         else:
             register = pre_query_register(d, n)
-        _, peak = traced_peak(oracle.apply_quantum, register)
+        out, peak = traced_peak(oracle.apply_quantum, register)
+        if not solve_path:  # the result is a new state
+            peak -= out.amplitudes.nbytes
         assert peak <= 4 * 2**20
 
     @pytest.mark.parametrize("d,n", [(2, 1), (5, 2), (2, 14), (3, 9), (7, 5), (129, 1)])
     def test_in_place_query_equals_out_of_place(self, d, n):
-        # On the register a solver owns, each gathered block is copied back
-        # into the register itself; the last four span several blocks.
+        # A register a solver owns is read like any state, into a new one,
+        # and left unchanged; the last four span several blocks.
         rng = np.random.default_rng(d * n + 1)
         state = random_state(d, n + 1, rng)
         oracle = LinearOracle(random_secret(d, n, rng), d)
         expected = oracle.apply_quantum(state)
         register = _Register(state.amplitudes.copy(), d, n + 1)
-        assert oracle.apply_quantum(register) is register
-        assert np.array_equal(register.amplitudes, expected.amplitudes)
+        out = oracle.apply_quantum(register)
+        assert not np.shares_memory(out.amplitudes, register.amplitudes)
+        assert np.array_equal(out.amplitudes, expected.amplitudes)
+        assert np.array_equal(register.amplitudes, state.amplitudes)
         assert oracle.query_count == 2
 
     @pytest.mark.parametrize("d,n", [(3, 2), (2, 14)])
@@ -258,10 +264,11 @@ class TestApplyQuantum:
         assert_query_equals(state, secret, scatter_reference(state, secret))
 
     # With gather blocks of 64 amplitudes (pieces of 32), registers of up to
-    # 4096 take every route of the query: one block and one table (at most
-    # 64 amplitudes); several blocks of one group of rows each (d = 2, 3, 5);
-    # blocks of several groups (d = 4, 8..32); and groups of one row,
-    # since d**2 exceeds a piece (d >= 6).
+    # 4096 take every case of the one split of f: one block (at most 64
+    # amplitudes), whose lead is empty when d**(n+2) <= 64; and above one
+    # block, blocks of groups of several rows (d = 2, 3), groups of one row
+    # from a d x d table (d = 4, 5), and groups of one row from the rotations
+    # view, since d**2 exceeds a piece (d >= 6).
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())
     def test_property_equals_chain_of_sum_gates_in_small_blocks(self, data):
@@ -287,16 +294,23 @@ class TestApplyQuantum:
         [(2, 5), (3, 2), (2, 7), (3, 5), (5, 3), (4, 4), (8, 2), (6, 2), (7, 3), (64, 1)],
     )
     def test_every_route_in_small_blocks(self, d, n, monkeypatch):
-        # The routes above, each on its boundary secrets and a random one:
-        # one block (2, 5) and (3, 2); one group per block (2, 7), (3, 5) and
-        # (5, 3); several groups per block (4, 4) and (8, 2); one row per
-        # group (6, 2), (7, 3) and (64, 1).
+        # The cases above, each on its boundary secrets and a random one, for
+        # the gather and for the solve's fill: one block of several groups
+        # (2, 5) and (3, 2); several blocks of groups of several rows (2, 7)
+        # and (3, 5); rows from a d x d table (5, 3), whose last block is
+        # partial, and (4, 4); rows from the view (6, 2), (7, 3), (8, 2) and
+        # (64, 1), one row per block.  (5, 3) and (6, 2) sit on each side of
+        # the switch to the view.
         monkeypatch.setattr("quditbv.oracle._GATHER_CHUNK", 64)
         rng = np.random.default_rng(d * 10 + n)
         state = random_state(d, n + 1, rng)
         for secret in (random_secret(d, n, rng), (0,) * n, (d - 1,) * n):
             assert_query_equals(state, secret, scatter_reference(state, secret))
             assert_query_equals(state, secret, sum_chain(state, secret))
+            oracle = LinearOracle(secret, d)
+            found = solve_path_query(oracle)
+            expected = oracle.apply_quantum(pre_query_register(d, n)).amplitudes
+            assert np.array_equal(found.view(np.uint64), expected.view(np.uint64)), secret
 
     def test_register_size_mismatch_rejected(self):
         oracle = LinearOracle((1, 2), 3)

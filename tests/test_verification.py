@@ -75,6 +75,15 @@ class TestGramCheck:
         with pytest.raises(CapacityError):
             gram_check(3, 6)  # 729 states exceed the 625 limit
 
+    def test_gram_matrix_counts_against_the_budget(self):
+        # 25 states pass a budget of 30, but their Gram matrix holds 625 entries.
+        set_amplitude_budget(30)
+        try:
+            with pytest.raises(CapacityError, match="Gram matrix"):
+                gram_check(5, 2)
+        finally:
+            set_amplitude_budget(None)
+
     def test_gram_against_direct_summation(self):
         # Independent route: inner products summed digit string by digit
         # string, never touching the vectorized state constructor.
@@ -155,6 +164,17 @@ class TestDenseReference:
     def test_capacity_guard(self):
         with pytest.raises(CapacityError):
             dense_reference_bv((1,) * 8, 2)  # 2**9 = 512 > 256
+
+    def test_oracle_matrix_counts_against_the_budget_after_the_layers_are_kept(self):
+        # The first call keeps the (3, 1) layers; a later one under a smaller
+        # budget must still refuse its 9 x 9 oracle matrix.
+        dense_reference_bv((1,), 3)
+        set_amplitude_budget(20)
+        try:
+            with pytest.raises(CapacityError, match="dense oracle matrix"):
+                dense_reference_bv((2,), 3)
+        finally:
+            set_amplitude_budget(None)
 
     def test_reproducible_to_the_last_bit(self):
         a = dense_reference_bv((1, 2), 3).amplitudes
