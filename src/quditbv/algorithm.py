@@ -30,7 +30,7 @@ from .budget import check_capacity
 from .errors import ConsistencyError, DomainError, check_type
 from .gates import GateMatrix, _check_position, _fourier_columns, apply_local_gate
 from .oracle import LinearOracle
-from .state import _BLOCK, Statevector, _Owned, _RowRegister, _split, _spread, decode_index, validate_digits
+from .state import _BLOCK, Statevector, _Owned, _Register, _split, _spread, decode_index, validate_digits
 
 TOL_STATE = 1e-9
 PEAK_PROBABILITY_FLOOR = 1.0 - TOL_STATE
@@ -130,13 +130,11 @@ def _inverse_fourier(d: int) -> GateMatrix:
 def quantum_bv_states(oracle: LinearOracle) -> QuantumTrace:
     """Run the quantum pipeline once and keep the state it ends in.
 
-    Applies the oracle exactly once and one gate layer, all in one register
-    that the solve owns.  Before the query every row of the register would
-    be the same row, the kickback row scaled by ``1/sqrt(d**n)``, so the
-    register is left unwritten and the query writes it from that row; the
-    layer then rewrites it in place through a scratch block.  The trace
-    hands it on as a read-only ``final``.  Raises a capacity error before
-    allocating if ``d**(n+1)`` is over budget.
+    Applies the oracle exactly once and one gate layer, both to one
+    :class:`~quditbv.state._Register` (see there), whose every row before
+    the query would be the kickback row scaled by ``1/sqrt(d**n)``.  The
+    trace hands it on as a read-only ``final``.  Raises a capacity error
+    before allocating if ``d**(n+1)`` is over budget.
 
     The layer's gate, the inverse Fourier gate, is built and validated once
     per ``d`` up to 256 and kept, with the fused powers its layers make;
@@ -152,7 +150,7 @@ def quantum_bv_states(oracle: LinearOracle) -> QuantumTrace:
     check_capacity(d ** (n + 1), "pipeline register")
     inverse = (_inverse_fourier if d * d <= _BLOCK else _inverse_fourier.__wrapped__)(d)
     row = inverse.entries[d - 1].conj() * math.prod([1 / np.sqrt(d)] * n)
-    register = oracle.apply_quantum(_RowRegister(np.empty(d ** (n + 1), np.complex128), d, n + 1, row))
+    register = oracle.apply_quantum(_Register(np.empty(d ** (n + 1), np.complex128), d, n + 1, row))
     register = apply_local_gate(register, inverse, *range(1, n + 1))
     return QuantumTrace(Statevector(_Owned(register.amplitudes), d, n + 1))
 

@@ -14,10 +14,10 @@ Two independent execution routes are provided on purpose:
   single-qudit gates is batched matrix products, one per block of adjacent
   qudits, and SUM is two slice copies per control digit.  The state they
   return adopts its output array without a copy.  A layer writes one output
-  register and rewrites it in place; given the register a solver owns, that
-  output is the register itself, so the layer needs no second one.  One
-  block function applies every block of whole rows and every column chunk
-  of the layer, each run of passes through a scratch block of its own.
+  register and rewrites it in place; a solver's register is its own output
+  (see :class:`~quditbv.state._Register`).  One block function applies
+  every block of whole rows and every column chunk of the layer, each run
+  of passes through a scratch block of its own.
   BLAS runs one thread per product while a layer runs, and the layer's
   pieces run on as many threads as BLAS was given instead, so its result
   does not depend on the thread count.
@@ -43,8 +43,7 @@ from .state import (
     Statevector,
     _one_blas_thread,
     _Owned,
-    _output,
-    _result,
+    _Register,
     _split,
     _spread,
     check_dimension,
@@ -244,10 +243,11 @@ def apply_local_gate(state: Statevector, gate: GateMatrix, pos: int, *more: int)
     function applies the passes a block of rows or a chunk of columns at a
     time, each run of them through a scratch block of its own, at most
     ``_BLOCK`` amplitudes unless one chunk is wider (see :func:`_run_passes`).
-    Only the register a solver owns is rewritten in place from the first
-    pass on.  Each amplitude takes the same products as with whole-register
-    passes, bit for bit under OpenBLAS's SkylakeX kernel (see ``_ALIGN``),
-    and the same products at every BLAS thread count under any kernel.
+    A solver's register is rewritten in place from the first pass on and
+    returned (see :class:`~quditbv.state._Register`).  Each amplitude takes
+    the same products as with whole-register passes, bit for bit under
+    OpenBLAS's SkylakeX kernel (see ``_ALIGN``), and the same products at
+    every BLAS thread count under any kernel.
     """
     check_type(state, Statevector, "state")
     check_type(gate, GateMatrix, "gate")
@@ -258,9 +258,10 @@ def apply_local_gate(state: Statevector, gate: GateMatrix, pos: int, *more: int)
     k = state.qudit_count
     positions = [_check_position(p, k) for p in (pos, *more)]
     passes = _layer_passes(gate, positions, k)
-    out = _output(state)
+    in_place = isinstance(state, _Register)
+    out = state.amplitudes if in_place else np.empty_like(state.amplitudes)
     _run_passes(passes, state.amplitudes, out)
-    return _result(state, out)
+    return state if in_place else Statevector(_Owned(out), state.d, k)
 
 
 def _pass(entries: np.ndarray, right: int, src: np.ndarray, dst: np.ndarray) -> None:

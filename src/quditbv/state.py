@@ -248,47 +248,27 @@ def _check_finite(amps: np.ndarray) -> None:
     _spread(check, range(0, amps.size, step), workers)
 
 
+@dataclass(frozen=True, eq=False)
 class _Register(Statevector):
-    """A register that a solver owns and that the layer rewrites in place.
+    """The one register a solve owns: its query writes it and its layer rewrites it in place.
 
-    ``_Register(amps, d, k)`` adopts ``amps``, a fresh, writeable,
+    ``_Register(amps, d, k, row)`` adopts ``amps``, a fresh, writeable,
     C-contiguous complex128 array of ``d**k`` entries, as is: the solver
-    builds it from validated parts, and it is not checked again here.  Given
-    one, :func:`apply_local_gate` writes its result into it and returns it;
-    given any other state, it returns a new one.
-    :meth:`LinearOracle.apply_quantum` reads one like any state and returns
-    a new state; it rewrites only a :class:`_RowRegister`.  A register never
-    leaves the solver: the solver hands on a plain :class:`Statevector` that
-    adopts the array, which validates it in full and makes it read-only.
+    builds it from validated parts, and it is not checked again here.  The
+    array starts unwritten.  :meth:`LinearOracle.apply_quantum` writes it
+    once, whole, from ``row``: each input's row is ``row`` rotated by
+    ``f(x)``, bit for bit the query of a state whose every row is ``row``.
+    It returns the register itself, and :func:`apply_local_gate` then
+    rewrites it in place and returns it.  Given any other state, both
+    leave it unchanged and return a new one.  A register never leaves the
+    solver: the solver hands on a plain :class:`Statevector` that adopts
+    the array, which validates it in full and makes it read-only.
     """
+
+    row: np.ndarray | None
 
     def __post_init__(self) -> None:
         pass
-
-
-@dataclass(frozen=True, eq=False)
-class _RowRegister(_Register):
-    """A solver's register before its query: unwritten, its every target row to be ``row``.
-
-    The array holds no amplitudes yet.  It is the one register that
-    :meth:`LinearOracle.apply_quantum` rewrites: the query writes it whole
-    from ``row``, each input's row rotated by ``f(x)``, and returns it as a
-    plain :class:`_Register` for the layer; nothing else may be given one.
-    """
-
-    row: np.ndarray
-
-
-def _output(state: Statevector) -> np.ndarray:
-    """The array a kernel writes its image of ``state`` into: a register's own, else a new one."""
-    return state.amplitudes if isinstance(state, _Register) else np.empty_like(state.amplitudes)
-
-
-def _result(state: Statevector, out: np.ndarray) -> Statevector:
-    """The state a kernel returns once it has written ``out`` (from :func:`_output`)."""
-    if out is state.amplitudes:
-        return state
-    return Statevector(_Owned(out), state.d, state.qudit_count)
 
 
 def encode_digits(digits: Sequence[int], d: int) -> int:

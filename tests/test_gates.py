@@ -64,7 +64,7 @@ def whole_register_passes(state, gate, positions):
 
 def register_of(state):
     """A writeable copy of ``state`` as the register a solver owns, which kernels rewrite in place."""
-    return _Register(state.amplitudes.copy(), state.d, state.qudit_count)
+    return _Register(state.amplitudes.copy(), state.d, state.qudit_count, None)
 
 
 # Layers whose passes take every route through ``_run_passes``.

@@ -8,15 +8,17 @@ from quditbv import (
     LinearOracle,
     Statevector,
     all_digit_strings,
+    apply_local_gate,
     apply_sum,
     basis_state,
     decode_index,
+    fourier_matrix,
     quantum_bv_states,
     random_secret,
 )
 from quditbv.algorithm import _fourier_product
 from quditbv.oracle import _GATHER_CHUNK
-from quditbv.state import _Register, _RowRegister
+from quditbv.state import _Owned, _Register
 
 
 def random_state(d, k, rng):
@@ -44,8 +46,8 @@ def scatter_reference(state, secret):
 
 
 def pre_query_register(d, n):
-    """The register the solve queries, as the labeled Fourier state ``0...0, d-1``."""
-    return _Register(_fourier_product((0,) * n + (d - 1,), d), d, n + 1)
+    """The state the solve's register stands for before its query, the labeled Fourier state ``0...0, d-1``."""
+    return Statevector(_Owned(_fourier_product((0,) * n + (d - 1,), d)), d, n + 1)
 
 
 def solve_path_query(oracle):
@@ -56,14 +58,8 @@ def solve_path_query(oracle):
 
 
 def assert_query_equals(state, secret, expected):
-    """The query of ``state``, and of a register holding it, equals ``expected``, each a new state."""
-    oracle = LinearOracle(secret, state.d)
-    assert np.array_equal(oracle.apply_quantum(state).amplitudes, expected)
-    register = _Register(state.amplitudes.copy(), state.d, state.qudit_count)
-    out = oracle.apply_quantum(register)
-    assert not np.shares_memory(out.amplitudes, register.amplitudes)
-    assert np.array_equal(out.amplitudes, expected)
-    assert np.array_equal(register.amplitudes, state.amplitudes)
+    """The query of ``state`` equals ``expected``."""
+    assert np.array_equal(LinearOracle(secret, state.d).apply_quantum(state).amplitudes, expected)
 
 
 @st.composite
@@ -212,7 +208,7 @@ class TestApplyQuantum:
         oracle = LinearOracle(random_secret(d, n, np.random.default_rng(d)), d)
         if solve_path:
             row = _fourier_product((d - 1,), d) / np.sqrt(d**n)
-            register = _RowRegister(np.empty(d ** (n + 1), complex), d, n + 1, row)
+            register = _Register(np.empty(d ** (n + 1), complex), d, n + 1, row)
         else:
             register = pre_query_register(d, n)
         out, peak = traced_peak(oracle.apply_quantum, register)
@@ -222,18 +218,20 @@ class TestApplyQuantum:
 
     @pytest.mark.parametrize("d,n", [(2, 1), (5, 2), (2, 14), (3, 9), (7, 5), (129, 1)])
     def test_in_place_query_equals_out_of_place(self, d, n):
-        # A register a solver owns is read like any state, into a new one,
-        # and left unchanged; the last four span several blocks.
-        rng = np.random.default_rng(d * n + 1)
-        state = random_state(d, n + 1, rng)
-        oracle = LinearOracle(random_secret(d, n, rng), d)
-        expected = oracle.apply_quantum(state)
-        register = _Register(state.amplitudes.copy(), d, n + 1)
-        out = oracle.apply_quantum(register)
-        assert not np.shares_memory(out.amplitudes, register.amplitudes)
-        assert np.array_equal(out.amplitudes, expected.amplitudes)
-        assert np.array_equal(register.amplitudes, state.amplitudes)
+        # A solver's register: the query writes it from its row and returns
+        # it, bit for bit the gather of the state it stands for, and the
+        # layer rewrites it and returns it.  The last four span several blocks.
+        oracle = LinearOracle(random_secret(d, n, np.random.default_rng(d * n + 1)), d)
+        state = pre_query_register(d, n)
+        expected = oracle.apply_quantum(state).amplitudes
+        register = _Register(np.empty(d ** (n + 1), complex), d, n + 1, state.amplitudes[:d])
+        assert oracle.apply_quantum(register) is register
         assert oracle.query_count == 2
+        assert np.array_equal(register.amplitudes.view(np.uint64), expected.view(np.uint64))
+        inverse = fourier_matrix(d).adjoint()
+        layer = apply_local_gate(Statevector(expected, d, n + 1), inverse, *range(1, n + 1)).amplitudes
+        assert apply_local_gate(register, inverse, *range(1, n + 1)) is register
+        assert np.array_equal(register.amplitudes.view(np.uint64), layer.view(np.uint64))
 
     @pytest.mark.parametrize("d,n", [(3, 2), (2, 14)])
     def test_public_call_leaves_its_input_unchanged_and_read_only(self, d, n):

@@ -97,7 +97,7 @@ def test_layer_is_bit_identical_at_every_worker_count(d, k, positions, in_place,
     def layer():
         if not in_place:
             return apply_local_gate(state, gate, *positions).amplitudes
-        register = _Register(state.amplitudes.copy(), d, k)
+        register = _Register(state.amplitudes.copy(), d, k, None)
         assert apply_local_gate(register, gate, *positions) is register
         return register.amplitudes
 
@@ -189,7 +189,7 @@ def test_blas_thread_count_is_restored_after_a_solve_and_a_failed_layer(monkeypa
     monkeypatch.setattr("quditbv.gates._pass", failing)
     state = random_state(2, 18, np.random.default_rng(0))
     with pytest.raises(RuntimeError, match="product failed"):
-        apply_local_gate(_Register(state.amplitudes.copy(), 2, 18), fourier_matrix(2), 17, 18)
+        apply_local_gate(_Register(state.amplitudes.copy(), 2, 18, None), fourier_matrix(2), 17, 18)
     assert seen and set(seen) == {1}  # BLAS ran one thread per product
     assert _blas_threads() == before
 
@@ -224,7 +224,7 @@ def test_a_large_layer_and_solve_run_on_blas_threads():
         "started = []\n"
         "start = threading.Thread.start\n"
         "threading.Thread.start = lambda self: (started.append(self), start(self))[1]\n"
-        "register = _Register(np.zeros(2**18, complex), 2, 18)\n"
+        "register = _Register(np.zeros(2**18, complex), 2, 18, None)\n"
         "apply_local_gate(register, fourier_matrix(2), *range(1, 19))\n"
         "layer = len(started)\n"
         "quantum_bv_states(LinearOracle((1,) * 17, 2))\n"
