@@ -195,7 +195,7 @@ def marginal_probabilities(state: Statevector, qudits: Sequence[int]) -> np.ndar
     probs = np.empty(amps.size // width)
     strided = lead == k - 1 and d < _SHORT_ROW  # each outcome sums one row of d
 
-    def reduce(lo: int, w: int) -> None:
+    def reduce(lo: int) -> None:
         block = np.abs(amps[lo : lo + step]) ** 2
         sums = probs[lo // width : (lo + step) // width]
         if strided:
@@ -208,7 +208,7 @@ def marginal_probabilities(state: Statevector, qudits: Sequence[int]) -> np.ndar
 
     _spread(reduce, range(0, amps.size, step), workers if step <= piece else 1)
     total = float(np.add.reduce(probs))
-    if abs(total - 1.0) > TOL_STATE:
+    if not abs(total - 1.0) <= TOL_STATE:
         raise ConsistencyError(
             f"state probabilities sum to {total!r}, not 1 within {TOL_STATE}"
         )

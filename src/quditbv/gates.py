@@ -16,8 +16,8 @@ Two independent execution routes are provided on purpose:
   return adopts its output array without a copy.  A layer writes one output
   register and rewrites it in place; a solver's register is its own output
   (see :class:`~quditbv.state._Register`).  One block function applies
-  every block of whole rows and every column chunk of the layer, each run
-  of passes through a scratch block of its own.
+  every block of whole rows and every column chunk of the layer, each
+  through a spare block of its own.
   BLAS runs one thread per product while a layer runs, and the layer's
   pieces run on as many threads as BLAS was given instead, so its result
   does not depend on the thread count.
@@ -241,8 +241,7 @@ def apply_local_gate(state: Statevector, gate: GateMatrix, pos: int, *more: int)
     writes a new output register, which the returned :class:`Statevector`
     adopts, and every later pass rewrites that register in place.  One block
     function applies the passes a block of rows or a chunk of columns at a
-    time, each run of them through a scratch block of its own, at most
-    ``_BLOCK`` amplitudes unless one chunk is wider (see :func:`_run_passes`).
+    time, each through a spare block of that size (see :func:`_run_passes`).
     A solver's register is rewritten in place from the first pass on and
     returned (see :class:`~quditbv.state._Register`).  Each amplitude takes
     the same products as with whole-register passes, bit for bit under
@@ -282,26 +281,26 @@ def _run_passes(passes: list[tuple[np.ndarray, int]], src: np.ndarray, out: np.n
     whose rows ``side*right`` fit in a piece, to one block of whole rows; or
     one longer pass, to one ``_ALIGN``-aligned chunk of the columns of a
     ``(side, right)`` plane.  A job alternates between its block of ``out``
-    and the worker's share of the run's scratch block, the first picked by
-    the run's parity so that the last pass lands in ``out``; in place, an odd
-    run ends with a copy back.  Only the first run reads ``src``, which may
-    be ``out`` itself; a single pass from ``src`` into another ``out`` goes
-    straight there.  Each run frees its scratch before the next allocates.
+    and a spare block of the same size that it allocates, the first picked
+    by the run's parity so that the last pass lands in ``out``; in place, an
+    odd run ends with a copy back.  Only the first run reads ``src``, which
+    may be ``out`` itself; a single pass from ``src`` into another ``out``
+    goes straight there, with no spare block.
 
     BLAS runs one thread per product while the layer runs, so no product
     depends on its thread count; a run's jobs are spread over as many workers
     as BLAS had threads, at most ``_SHARES`` (see
-    :func:`~quditbv.state._spread`), or over one if a job outgrows a piece.
+    :func:`~quditbv.state._spread`), each holding one job's spare block.
     The last of any concurrent layers to return restores the count, also
     when a product raises (see :class:`~quditbv.state._BlasPin`).
     """
-    piece, workers = _split(out.size, _BLOCK)
+    piece, workers = _split(out.size, _BLOCK)  # this module's _BLOCK: a test shrinks it
     rows = [entries.shape[0] * right for entries, right in passes]
 
-    def block(job: tuple, w: int) -> None:
+    def block(job: tuple) -> None:
         key, run = job
         dst = target[key]
-        spare = None if scratch is None else scratch[w, : dst.size]  # flat: _pass reshapes it
+        spare = np.empty(dst.size, dst.dtype) if in_place or len(run) > 1 else None
         x, y = source[key], (spare if in_place or len(run) % 2 == 0 else dst)
         for entries, right in run:
             _pass(entries, right, x, y)
@@ -318,7 +317,7 @@ def _run_passes(passes: list[tuple[np.ndarray, int]], src: np.ndarray, out: np.n
                     j += 1
                 run, row = passes[i:j], max(rows[i:j])
                 step = piece // row * row
-                share, source, target = min(step, out.size), src, out
+                source, target = src, out
                 jobs = [(slice(lo, lo + step), run) for lo in range(0, out.size, step)]
             else:
                 entries, right = passes[i]
@@ -327,17 +326,15 @@ def _run_passes(passes: list[tuple[np.ndarray, int]], src: np.ndarray, out: np.n
                 # route, which rounds differently, so the chunk before takes it.
                 cols = max(_ALIGN, piece // side // _ALIGN * _ALIGN)
                 edges = [*range(0, max(right - 1, 1), cols), right]
-                share = side * max(hi - lo for lo, hi in zip(edges, edges[1:]))
                 source, target = src.reshape(-1, side, right), out.reshape(-1, side, right)
                 jobs = [
                     ((slice(p, p + 1), slice(None), slice(lo, hi)), [(entries, hi - lo)])
                     for p in range(target.shape[0])
                     for lo, hi in zip(edges, edges[1:])
                 ]
-            in_place, count = src is out, (1 if share > piece else workers)
-            scratch = np.empty((count, share), out.dtype) if in_place or j - i > 1 else None
-            _spread(block, jobs, count)
-            scratch, src, i = None, out, j
+            in_place = src is out
+            _spread(block, jobs, workers)
+            src, i = out, j
 
 
 def apply_sum(state: Statevector, control: int, target: int) -> Statevector:

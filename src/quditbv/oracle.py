@@ -127,7 +127,7 @@ def _gather_rotated(out: np.ndarray, src: np.ndarray, secret: tuple[int, ...], d
     per = min(max(1, piece // group), lead.size)  # groups per block
     starts = np.arange(0, per * group, d)[:, None]
 
-    def gather(g: int, w: int) -> None:
+    def gather(g: int) -> None:
         lo, hi = g * group, min(g + per, lead.size) * group
         index = tables[lead[g : g + per]].reshape(-1, d)
         index += starts[: index.shape[0]]
@@ -152,7 +152,7 @@ def _fill_rotated(out: np.ndarray, row: np.ndarray, secret: tuple[int, ...], d: 
     per = min(max(1, piece // group), lead.size)  # groups per block
     view = d * d > piece
 
-    def fill(g: int, w: int) -> None:
+    def fill(g: int) -> None:
         rows = out[g * group : min(g + per, lead.size) * group].reshape(-1, group)
         if view:  # np.take would copy the view whole
             rows[...] = values[lead[g : g + per]]

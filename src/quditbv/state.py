@@ -25,18 +25,18 @@ from .budget import check_capacity
 from .errors import DomainError, check_int, check_type
 
 # Amplitudes a blocked pass over a register handles at a time: 1 MiB, so a
-# block stays in cache while it is worked on.  For the layer's scratch block,
-# sizes of 2**15 to 2**18 ran the inverse layer of a 2**24-amplitude solve
-# within noise of each other; 2**14 was 13% slower at d=2, n=22 and 19% at
-# d=256, n=2 (2 vCPUs, 2 MiB L2 per core, best of 3).
+# block stays in cache while it is worked on.  Blocks of 2**15 to 2**18 ran
+# the inverse layer of a 2**24-amplitude solve within noise of each other;
+# 2**14 was 13% slower at d=2, n=22 and 19% at d=256, n=2 (2 vCPUs, 2 MiB L2
+# per core, best of 3).
 _BLOCK = 1 << 16
 # A sweep over more than one block goes in pieces of 1/_SHARES of a block,
 # whatever the thread count, so every product a piece makes, and so every
-# amplitude, is the same however many workers run.  The scratch block is
-# shared out among at most _SHARES workers, so together they hold no more
-# scratch than a serial sweep.  Pieces of a quarter block ran the solve at
-# d=2, n=22 in 0.49-0.53 s and at d=16, n=5 in 0.62-0.72 s, against
-# 0.46-0.50 and 0.58-0.61 s with halves (2 vCPUs, best of 2, 3 processes).
+# amplitude, is the same however many workers run.  At most _SHARES workers
+# run, each holding the temporaries of one piece, or of one layer chunk when
+# a chunk is wider.  Pieces of a quarter block ran the solve at d=2, n=22 in
+# 0.49-0.53 s and at d=16, n=5 in 0.62-0.72 s, against 0.46-0.50 and
+# 0.58-0.61 s with halves (2 vCPUs, best of 2, 3 processes).
 _SHARES = 2
 
 
@@ -45,8 +45,8 @@ def _split(size: int, block: int = _BLOCK) -> tuple[int, int]:
 
     Up to ``block`` entries are one piece for one worker.  More go in pieces
     of ``block // _SHARES``, over as many workers as numpy's BLAS has
-    threads, at most ``_SHARES``, so that the workers' pieces of scratch add
-    up to no more than one block.
+    threads, at most ``_SHARES``.  Each worker holds the temporaries of one
+    piece, or of one layer chunk when a chunk is wider.
     """
     if size <= block:
         return block, 1
@@ -112,33 +112,31 @@ class _BlasPin:
 _one_blas_thread = _BlasPin()
 
 
-def _spread(run: Callable[[object, int], None], jobs: Sequence, workers: int) -> None:
-    """Call ``run(job, w)`` once for each of ``jobs``, on up to ``workers`` threads.
+def _spread(run: Callable[[object], None], jobs: Sequence, workers: int) -> None:
+    """Call ``run(job)`` once for each of ``jobs``, on up to ``workers`` threads.
 
-    ``w`` numbers the worker that runs the job, from 0, so that a job can use
-    that worker's own share of a scratch block; jobs must write disjoint
-    entries.  Threads start only when each worker gets at least two jobs;
-    otherwise the jobs run here, in order.  The first exception a job raises
-    is raised here once every worker has stopped.
+    Jobs must write disjoint entries.  Threads start only when each worker
+    gets at least two jobs; otherwise the jobs run here, in order.  The first
+    exception a job raises is raised here once every worker has stopped.
     """
     if workers < 2 or len(jobs) < 2 * workers:
         for job in jobs:
-            run(job, 0)
+            run(job)
         return
     todo = iter(jobs)  # shared: each next() hands one job to one worker
     errors: list[BaseException] = []
 
-    def work(w: int) -> None:
+    def work() -> None:
         try:
             for job in todo:
-                run(job, w)
+                run(job)
         except BaseException as exc:  # raised again below, in the calling thread
             errors.append(exc)
 
-    threads = [threading.Thread(target=work, args=(w,)) for w in range(1, workers)]
+    threads = [threading.Thread(target=work) for _ in range(1, workers)]
     for thread in threads:
         thread.start()
-    work(0)
+    work()
     for thread in threads:
         thread.join()
     if errors:
@@ -241,7 +239,7 @@ def _check_finite(amps: np.ndarray) -> None:
     """Raise ``DomainError`` unless every entry is finite, with a mask of one piece, not of the array."""
     step, workers = _split(amps.size)
 
-    def check(lo: int, w: int) -> None:
+    def check(lo: int) -> None:
         if not np.isfinite(amps[lo : lo + step]).all():
             raise DomainError("amplitudes must be finite (no NaN or Inf)")
 

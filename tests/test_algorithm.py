@@ -29,7 +29,7 @@ from quditbv import (
     tensor,
 )
 from quditbv.algorithm import _fourier_product, _inverse_fourier
-from quditbv.state import _BLOCK
+from quditbv.state import _BLOCK, _Register
 from quditbv.verification import TOL_ALGEBRA
 
 
@@ -519,6 +519,14 @@ class TestMarginalsAndMeasurement:
         state = Statevector(np.full(4, 0.5) * 1.5, 2, 2)
         with pytest.raises(ConsistencyError):
             marginal_probabilities(state, (1, 2))
+
+    def test_nan_amplitude_raises_consistency_error(self):
+        # A register is not validated, and a NaN total compares False with
+        # any tolerance, so the check must fail unless the total is close.
+        amps = np.full(8, np.sqrt(0.125), dtype=complex)
+        amps[5] = np.nan
+        with pytest.raises(ConsistencyError):
+            marginal_probabilities(_Register(amps, 2, 3, None), (1, 2))
 
     def test_invalid_positions_rejected(self):
         state = basis_state((0, 1), 2)

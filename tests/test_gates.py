@@ -351,6 +351,16 @@ class TestApplyLocalGate:
         out, peak = traced_peak(apply_local_gate, state, fourier_matrix(d), *range(1, k))
         assert peak <= 1.1 * out.amplitudes.nbytes
 
+    def test_in_place_layer_of_wide_chunks_traces_one_chunk_per_worker(self, traced_peak):
+        # At d=600, n=1 each chunk of 600 x 64 columns is wider than a piece,
+        # and each of at most two workers holds one chunk's spare block.
+        state = random_state(600, 2, np.random.default_rng(600))
+        gate = fourier_matrix(600).adjoint()
+        register = register_of(state)
+        out, peak = traced_peak(apply_local_gate, register, gate, 1)
+        assert out is register
+        assert peak <= 2 * 600 * 64 * 16 + 64 * 1024
+
     @pytest.mark.parametrize("d,k", [(2, 7), (3, 5), (4, 4), (5, 4)])
     def test_fused_layer_equals_chain_of_single_calls(self, d, k):
         # Blocks of adjacent qudits form at these shapes, and a fused block

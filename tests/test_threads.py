@@ -104,6 +104,24 @@ def test_layer_is_bit_identical_at_every_worker_count(d, k, positions, in_place,
     assert np.array_equal(layer(), one_worker(layer))
 
 
+@pytest.mark.parametrize("workers", WORKERS, indirect=True)
+def test_chunks_wider_than_a_piece_run_on_every_worker(workers):
+    # Pieces of 21845 amplitudes and chunks of 400 x 64: every chunk is wider
+    # than a piece, and each job holds a spare block of its own.
+    count, started = workers
+    state = random_state(400, 2, np.random.default_rng(400))
+    gate = fourier_matrix(400).adjoint()
+
+    def layer():
+        register = _Register(state.amplitudes.copy(), 400, 2, None)
+        return apply_local_gate(register, gate, 1).amplitudes
+
+    started.clear()  # the state's finiteness check ran on threads too
+    amps = layer()
+    assert bool(started) == (count > 1)
+    assert np.array_equal(amps, one_worker(layer))
+
+
 @pytest.mark.parametrize("workers", [2, 3], indirect=True)
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_non_finite_in_the_last_piece_raises_when_spread(bad, workers):
