@@ -27,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from .budget import check_capacity
-from .errors import ConsistencyError, DomainError, check_type
+from .errors import ConsistencyError, DomainError, check_sequence, check_type
 from .gates import GateMatrix, _check_position, _fourier_columns, apply_local_gate
 from .oracle import LinearOracle
 from .state import _BLOCK, Statevector, _Owned, _Register, _split, _spread, decode_index, validate_digits
@@ -173,7 +173,7 @@ def marginal_probabilities(state: Statevector, qudits: Sequence[int]) -> np.ndar
     the same adds, in the same order, as a row-wise reduce at that ``d``.
     """
     k = check_type(state, Statevector, "state").qudit_count
-    kept = [_check_position(q, k, "qudit position") for q in _positions(qudits)]
+    kept = [_check_position(q, k, "qudit position") for q in check_sequence(qudits, "qudit positions")]
     if not kept:
         raise DomainError("at least one qudit must be kept")
     if len(set(kept)) != len(kept):
@@ -215,14 +215,6 @@ def marginal_probabilities(state: Statevector, qudits: Sequence[int]) -> np.ndar
     return probs
 
 
-def _positions(qudits: Sequence[int]) -> tuple[int, ...]:
-    """The qudit positions as a tuple, their checks left to :func:`_check_position`."""
-    try:
-        return tuple(qudits)
-    except TypeError:
-        raise DomainError(f"qudit positions must be a sequence of integers, got {qudits!r}") from None
-
-
 def measure_register(
     state: Statevector, qudits: Sequence[int], rng: np.random.Generator
 ) -> MeasurementOutcome:
@@ -232,7 +224,7 @@ def measure_register(
     the cumulative distribution over ascending basis indices.
     """
     check_type(rng, np.random.Generator, "rng")
-    qudits = _positions(qudits)
+    qudits = check_sequence(qudits, "qudit positions")
     probs = marginal_probabilities(state, qudits)
     cdf = np.cumsum(probs)
     cdf[-1] = max(cdf[-1], 1.0)

@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .algorithm import RunReport, run_classical_bv, run_quantum_bv
-from .errors import CapacityError, ConsistencyError, DomainError, check_int, check_type
+from .errors import CapacityError, ConsistencyError, DomainError, check_int, check_sequence, check_type
 from .oracle import LinearOracle, random_secret
 from .state import validate_digits
 from .verification import run_all_checks
@@ -163,11 +163,7 @@ def emit_report(
     """
     if output_format not in FORMATS:
         raise DomainError(f"output format must be one of {FORMATS}, got {output_format!r}")
-    try:
-        digits = iter(secret)
-    except TypeError:
-        raise DomainError(f"secret must be a sequence of integers, got {secret!r}") from None
-    secret = tuple(check_int(v, "secret digit", minimum=0) for v in digits)
+    secret = tuple(check_int(v, "secret digit", minimum=0) for v in check_sequence(secret, "secret"))
     seed = check_int(seed, "seed")
     rows = []
     for report in reports:

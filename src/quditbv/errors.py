@@ -1,5 +1,6 @@
 """Exception types shared across the package, and the argument validators that raise them."""
 
+from collections.abc import Iterable, Mapping, Set
 from typing import TypeVar
 
 import numpy as np
@@ -43,3 +44,17 @@ def check_type(value: object, cls: type[_T], label: str) -> _T:
     if not isinstance(value, cls):
         raise DomainError(f"{label} must be a {cls.__name__}, got {type(value).__name__}")
     return value
+
+
+def check_sequence(value: Iterable[_T], label: str) -> tuple[_T, ...]:
+    """Read an ordered input once and return it as a tuple, its entries unchecked.
+
+    Sets and mappings are rejected: their iteration order is not an order of
+    digits or positions.
+    """
+    if isinstance(value, (Set, Mapping)):
+        raise DomainError(f"{label} must be an ordered sequence, got {type(value).__name__}")
+    try:
+        return tuple(value)
+    except TypeError:
+        raise DomainError(f"{label} must be a sequence, got {value!r}") from None

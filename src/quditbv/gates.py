@@ -37,7 +37,7 @@ from typing import Sequence
 import numpy as np
 
 from .budget import check_capacity
-from .errors import CapacityError, DomainError, check_int, check_type
+from .errors import CapacityError, DomainError, check_int, check_sequence, check_type
 from .state import (
     _BLOCK,
     Statevector,
@@ -385,8 +385,8 @@ def dense_operator(ops: Sequence[tuple[GateMatrix, Sequence[int]]], qudit_count:
     amplitudes.
     """
     try:
-        ops = [(gate, tuple(positions)) for gate, positions in ops]
-    except (TypeError, ValueError) as exc:  # not pairs, or positions that are not a sequence
+        ops = [(gate, positions) for gate, positions in ops]
+    except (TypeError, ValueError) as exc:  # not a sequence of pairs
         raise DomainError(f"ops must be a sequence of (gate, positions) pairs: {exc}") from None
     if not ops:
         raise DomainError("dense_operator needs at least one gate")
@@ -403,7 +403,7 @@ def dense_operator(ops: Sequence[tuple[GateMatrix, Sequence[int]]], qudit_count:
     for gate, positions in ops:
         if check_type(gate, GateMatrix, "gate").d != d:
             raise DomainError(f"mixed gate dimensions {d} and {gate.d}")
-        positions = [_check_position(p, k) for p in positions]
+        positions = [_check_position(p, k) for p in check_sequence(positions, "gate positions")]
         if gate.qudit_span != len(positions):
             raise DomainError(
                 f"gate spans {gate.qudit_span} qudits but got {len(positions)} positions"

@@ -36,15 +36,15 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError, check_int, check_type
-from .state import Statevector, _Owned, _Register, _split, _spread, check_dimension, validate_digits
+from .state import _BLOCK, Statevector, _Owned, _Register, _split, _spread, check_dimension, validate_digits
 
-# A quantum query of more than this many amplitudes goes in pieces of half of
+# A public query of more than this many amplitudes goes in pieces of half of
 # it.  The d groups of rows that share their low digits fit in a piece, so
-# the gather's tables, each block's index and the fill's values hold at most
-# one piece, whatever the register size; the query holds no scratch block.
-# It is a quarter of state._BLOCK for memory: at _BLOCK a register of up to
-# 2**16 amplitudes is one piece, whose int64 tables and index span it whole,
-# and the public query at d=3, n=9 traced 2.24x the state, not 1.30x.
+# the gather's tables and each block's index hold at most one piece.  It is
+# a quarter of state._BLOCK for memory: at _BLOCK a register of up to 2**16
+# amplitudes is one piece, whose int64 tables and index span it whole, and
+# the public query at d=3, n=9 traced 2.24x the state, not 1.30x.  The
+# solve's fill builds no index and goes in the pieces of _BLOCK.
 _GATHER_CHUNK = 1 << 14
 
 
@@ -146,7 +146,7 @@ def _fill_rotated(out: np.ndarray, row: np.ndarray, secret: tuple[int, ...], d: 
     ``out``.  Each copies entries of ``row``, so the result has the bits of
     the gather of the full register.
     """
-    piece, workers = _split(out.size, _GATHER_CHUNK)
+    piece, workers = _split(out.size, _BLOCK)
     lead, values = _groups(row, secret, d, piece)
     group = values.shape[1]  # amplitudes per group
     per = min(max(1, piece // group), lead.size)  # groups per block

@@ -14,7 +14,7 @@ from __future__ import annotations
 import ctypes
 import functools
 import threading
-from collections.abc import Callable, Mapping, Set
+from collections.abc import Callable
 from dataclasses import dataclass
 from itertools import product
 from typing import Iterator, Sequence
@@ -22,7 +22,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .budget import check_capacity
-from .errors import DomainError, check_int, check_type
+from .errors import DomainError, check_int, check_sequence, check_type
 
 # Amplitudes a blocked pass over a register handles at a time: 1 MiB, so a
 # block stays in cache while it is worked on.  Blocks of 2**15 to 2**18 ran
@@ -153,17 +153,11 @@ def validate_digits(digits: Sequence[int], d: int, length: int | None = None) ->
 
     Every entry must be an integer in ``[0, d)``.  The string must be
     non-empty, and must have exactly ``length`` entries when that is given.
-    Sets and mappings are rejected: their iteration order is not a digit order.
+    Sets and mappings are rejected (see :func:`~quditbv.errors.check_sequence`).
     """
     check_dimension(d)
-    if isinstance(digits, (Set, Mapping)):
-        raise DomainError(f"digit string must be an ordered sequence, got {type(digits).__name__}")
-    try:
-        digits = iter(digits)
-    except TypeError:
-        raise DomainError(f"digit string must be a sequence of integers, got {digits!r}") from None
     out = []
-    for v in digits:
+    for v in check_sequence(digits, "digit string"):
         v = check_int(v, "digit")
         if not 0 <= v < d:
             raise DomainError(f"digit {v} is outside [0, {d})")

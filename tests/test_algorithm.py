@@ -367,6 +367,13 @@ class TestRunQuantum:
         assert report.recovered == secret
         assert report.oracle_queries == oracle.query_count == 1
 
+    def test_flat_readout_is_refused(self, monkeypatch):
+        # The peak guard: a readout that does not concentrate on one string
+        # raises rather than report its argmax.
+        monkeypatch.setattr("quditbv.algorithm.marginal_probabilities", lambda state, qudits: np.full(4, 0.25))
+        with pytest.raises(ConsistencyError, match="readout peak probability 0.25 fell below 0.999999999"):
+            run_quantum_bv(LinearOracle((1, 0), 2))
+
     def test_one_fourier_gate_build_per_dimension(self, gate_builds):
         # Every gate build is validated in __post_init__.  The first solve at a
         # d builds the inverse gate its layer applies; later ones, at any n,

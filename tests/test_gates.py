@@ -382,6 +382,23 @@ class TestApplyLocalGate:
             layered = apply_local_gate(state, gate, *positions)
             assert np.max(np.abs(layered.amplitudes - chained.amplitudes)) <= TOL_ALGEBRA
 
+    def test_fused_layer_with_no_identity_pad(self):
+        # At d=2, k=8 the five qudits after position 3 would pad the block to
+        # side 64, above isqrt(2**8) = 16, so positions 1..3 are one side-8
+        # pass with right == 32 and no identity.
+        rng = np.random.default_rng(28)
+        gate = random_unitary(2, rng)
+        state = random_state(2, 8, rng)
+        passes = _layer_passes(gate, [1, 2, 3], 8)
+        assert [(matrix.shape[0], right) for matrix, right in passes] == [(8, 32)]
+        chained = state
+        for pos in (1, 2, 3):
+            chained = apply_local_gate(chained, gate, pos)
+        dense = dense_operator([(gate, (pos,)) for pos in (1, 2, 3)], 8).entries @ state.amplitudes
+        layered = apply_local_gate(state, gate, 1, 2, 3).amplitudes
+        assert np.max(np.abs(layered - chained.amplitudes)) <= TOL_ALGEBRA
+        assert np.max(np.abs(layered - dense)) <= TOL_ALGEBRA
+
     @pytest.mark.parametrize("d,k", [(2, 23), (3, 14), (4, 11), (5, 10)])
     def test_pipeline_layers_are_few_fused_passes(self, d, k):
         # Both Fourier layers of the solver at the budget edge: the pass at

@@ -300,6 +300,7 @@ class TestApplyQuantum:
         # (64, 1), one row per block.  (5, 3) and (6, 2) sit on each side of
         # the switch to the view.
         monkeypatch.setattr("quditbv.oracle._GATHER_CHUNK", 64)
+        monkeypatch.setattr("quditbv.oracle._BLOCK", 64)
         rng = np.random.default_rng(d * 10 + n)
         state = random_state(d, n + 1, rng)
         for secret in (random_secret(d, n, rng), (0,) * n, (d - 1,) * n):
@@ -321,11 +322,13 @@ class TestApplyQuantum:
 class TestSolvePathQuery:
     """The solve's query writes its register from the kickback row, never built as a whole state."""
 
-    @pytest.mark.parametrize("d,n", [(2, 14), (3, 9), (7, 5), (90, 2), (129, 1), (256, 1)])
+    @pytest.mark.parametrize("d,n", [(2, 14), (3, 9), (7, 5), (90, 2), (129, 1), (256, 1), (300, 1)])
     def test_equals_the_query_of_the_pre_query_state(self, d, n):
-        # Bit for bit, signed zeros included.  (2, 14), (3, 9) and (7, 5)
-        # take several blocks of groups of rows; (90, 2) groups of one row
-        # from a d x d table; (129, 1) and (256, 1) rows from a view.
+        # Bit for bit, signed zeros included.  (2, 14) is one block with an
+        # empty lead, (3, 9) one block of d groups of rows, (7, 5) several;
+        # (90, 2) takes groups of one row from a d x d table; (129, 1) and
+        # (256, 1) are one block that reads a d x d table; (300, 1) takes
+        # rows from a view.
         rng = np.random.default_rng(d * n + 2)
         for secret in (random_secret(d, n, rng), (0,) * n, (d - 1,) * n):
             oracle = LinearOracle(secret, d)
@@ -346,6 +349,7 @@ class TestSolvePathQuery:
         oracle = LinearOracle(secret, d)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr("quditbv.oracle._GATHER_CHUNK", 64)
+            patch.setattr("quditbv.oracle._BLOCK", 64)
             found = solve_path_query(oracle)
             assert oracle.query_count == 1
             expected = oracle.apply_quantum(pre_query_register(d, n)).amplitudes

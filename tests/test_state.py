@@ -7,6 +7,7 @@ from quditbv import (
     DEFAULT_AMPLITUDE_BUDGET,
     CapacityError,
     DomainError,
+    GateMatrix,
     LinearOracle,
     Statevector,
     all_digit_strings,
@@ -18,6 +19,7 @@ from quditbv import (
     dense_operator,
     encode_digits,
     fourier_matrix,
+    gate_equivalence_check,
     inner_product,
     marginal_probabilities,
     measure_register,
@@ -26,6 +28,7 @@ from quditbv import (
     run_classical_bv,
     run_quantum_bv,
     set_amplitude_budget,
+    sum_matrix,
     tensor,
 )
 from quditbv.cli import emit_report
@@ -284,3 +287,60 @@ WRONG_TYPES = {
 def test_public_entries_reject_a_wrong_type(call):
     with pytest.raises(DomainError, match="must be a"):
         call(basis_state((0, 1), 2))
+
+
+# Each row is a public entry, the error it raises and the message it matches.
+# The unordered rows pass a set or a mapping where order is data: the readout
+# reads the secret off the qudits in the order given.
+REJECTED = {
+    "non-finite gate entries": (
+        DomainError, "finite", lambda s: GateMatrix(np.array([[np.nan, 0], [0, 1]]), 2)
+    ),
+    "two-qudit gate to apply_local_gate": (
+        DomainError, "single-qudit", lambda s: apply_local_gate(s, sum_matrix(2), 1)
+    ),
+    "empty ops": (DomainError, "at least one gate", lambda s: dense_operator([], 2)),
+    "mixed gate dimensions": (
+        DomainError,
+        "mixed gate dimensions",
+        lambda s: dense_operator([(fourier_matrix(2), (1,)), (fourier_matrix(3), (1,))], 1),
+    ),
+    "gate span against position count": (
+        DomainError, "spans 2 qudits", lambda s: dense_operator([(sum_matrix(2), (1,))], 2)
+    ),
+    "gate equivalence over the dense limit": (
+        CapacityError, "dim <= 256", lambda s: gate_equivalence_check(2, 9)
+    ),
+    "marginal_probabilities set": (
+        DomainError, "ordered sequence", lambda s: marginal_probabilities(s, {2, 1})
+    ),
+    "marginal_probabilities dict": (
+        DomainError, "ordered sequence", lambda s: marginal_probabilities(s, {2: 0, 1: 0})
+    ),
+    "measure_register set": (
+        DomainError, "ordered sequence", lambda s: measure_register(s, {2, 1}, np.random.default_rng(0))
+    ),
+    "dense_operator set positions": (
+        DomainError, "ordered sequence", lambda s: dense_operator([(sum_matrix(2), {2, 1})], 2)
+    ),
+    "emit_report set secret": (
+        DomainError, "ordered sequence", lambda s: emit_report([], "json", {1, 0}, 0)
+    ),
+}
+
+
+@pytest.mark.parametrize("error,match,call", REJECTED.values(), ids=REJECTED)
+def test_public_entries_reject_malformed_input(error, match, call):
+    with pytest.raises(error, match=match):
+        call(basis_state((0, 1), 2))
+
+
+class TestNumpyIntegers:
+    def test_numpy_integers_are_read_as_plain_ints(self):
+        oracle = LinearOracle(np.array([1, 2]), np.int64(3))
+        assert type(oracle.d) is int and oracle.d == 3
+        digits = decode_index(np.int64(5), 3, np.int32(2))
+        assert digits == (1, 2) and all(type(v) is int for v in digits)
+        state, gate = basis_state((0, 1), 2), fourier_matrix(2)
+        found = apply_local_gate(state, gate, np.int64(1)).amplitudes
+        assert np.array_equal(found, apply_local_gate(state, gate, 1).amplitudes)
