@@ -227,9 +227,8 @@ def measure_register(
     qudits = check_sequence(qudits, "qudit positions")
     probs = marginal_probabilities(state, qudits)
     cdf = np.cumsum(probs)
-    cdf[-1] = max(cdf[-1], 1.0)
+    cdf[-1] = max(cdf[-1], 1.0)  # so a draw, always below 1, picks an index below probs.size
     index = int(np.searchsorted(cdf, rng.random(), side="right"))
-    index = min(index, probs.size - 1)
     digits = decode_index(index, state.d, len(qudits))
     return MeasurementOutcome(digits, float(min(probs[index], 1.0)))
 

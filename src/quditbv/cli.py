@@ -4,10 +4,10 @@ Each command takes one route from argv to stdout: argparse and two helpers
 reject bad arguments with the usage status, ``run_experiment`` picks the
 solvers for ``run`` and ``sweep`` alike, and ``_render_rows`` writes the rows.
 
-Output is deterministic: the same argv always produces byte-identical
-stdout.  Exit codes: 0 success, 2 usage error (including a malformed amplitude
-budget), 3 capacity exceeded, 4 internal consistency failure (selfcheck
-returns 1 when any check fails).
+Output is deterministic: under a given OpenBLAS kernel the same argv always
+produces byte-identical stdout.  Exit codes: 0 success, 2 usage error
+(including a malformed amplitude budget), 3 capacity exceeded, 4 internal
+consistency failure (selfcheck returns 1 when any check fails).
 """
 
 from __future__ import annotations
@@ -155,31 +155,18 @@ def emit_report(
     secret: Sequence[int],
     seed: int,
 ) -> str:
-    """Serialize run reports with a fixed field order and return the text.
+    """Serialize run reports and return the text; the columns are ``REPORT_FIELDS``, in order.
 
-    JSON renders digit strings as integer arrays; csv and text join digits
-    with ``-``.  ``secret`` and ``seed`` are supplied by the caller: solvers
-    never see the secret, and the seed only drew it.
+    A row takes the report's own fields, plus ``secret`` and ``seed`` from the
+    caller: solvers never see the secret, and the seed only drew it.  JSON
+    renders digit strings as integer arrays; csv and text join them with ``-``.
     """
     if output_format not in FORMATS:
         raise DomainError(f"output format must be one of {FORMATS}, got {output_format!r}")
     secret = tuple(check_int(v, "secret digit", minimum=0) for v in check_sequence(secret, "secret"))
     seed = check_int(seed, "seed")
-    rows = []
-    for report in reports:
-        check_type(report, RunReport, "report")
-        rows.append(
-            {
-                "mode": report.mode,
-                "d": report.d,
-                "n": report.n,
-                "secret": list(secret),
-                "recovered": list(report.recovered),
-                "oracle_queries": report.oracle_queries,
-                "peak_probability": report.peak_probability,
-                "seed": seed,
-            }
-        )
+    values = [{**vars(check_type(r, RunReport, "report")), "secret": secret, "seed": seed} for r in reports]
+    rows = [{field: row[field] for field in REPORT_FIELDS} for row in values]
     return _render_rows(rows, output_format, fields=REPORT_FIELDS)
 
 

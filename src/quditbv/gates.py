@@ -44,6 +44,7 @@ from .state import (
     _one_blas_thread,
     _Owned,
     _Register,
+    _check_finite,
     _split,
     _spread,
     check_dimension,
@@ -103,12 +104,10 @@ class GateMatrix:
             entries = raw.astype(np.complex128)
         except (TypeError, ValueError) as exc:
             raise DomainError(f"{not_complex}: {exc}") from exc
-        if not np.all(np.isfinite(entries)):
-            raise DomainError("gate entries must be finite")
+        _check_finite(entries.ravel(order="K"), "gate entries")  # a view: entries are compact
         # U U* - I a block of rows at a time (conjugated, so U.T is a view):
         # the check holds one block, not the whole product.
         rows = max(1, min(side, _BLOCK // side))
-        check_capacity(rows * side, "unitarity check block")
         block, worst = np.empty((rows, side), np.complex128), 0.0
         for lo in range(0, side, rows):
             defect = block[: min(rows, side - lo)]

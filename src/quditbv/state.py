@@ -188,9 +188,9 @@ class Statevector:
     """Immutable dense state of ``qudit_count`` qudits of dimension ``d``.
 
     Validated to have exactly ``d**qudit_count`` finite entries, and made
-    read-only.  An amplitude array from a public caller is copied on
-    construction, so later changes to it cannot reach the state; arrays the
-    library has just built for the state are adopted without that copy.
+    read-only.  A caller's amplitude array counts against the amplitude budget
+    before it is copied, as a gate's does, and later changes to it cannot reach
+    the state; arrays the library has just built for it are adopted as they are.
     """
 
     amplitudes: np.ndarray
@@ -203,10 +203,16 @@ class Statevector:
         if isinstance(self.amplitudes, _Owned):
             amps = self.amplitudes.array
         else:
+            not_complex = "amplitudes must be an array of complex numbers"
             try:
-                amps = np.array(self.amplitudes, dtype=np.complex128)
+                raw = np.asarray(self.amplitudes)  # no copy before the budget check
+            except (TypeError, ValueError) as exc:  # ragged rows, for one
+                raise DomainError(f"{not_complex}: {exc}") from exc
+            check_capacity(raw.size, "state")
+            try:
+                amps = raw.astype(np.complex128)
             except (TypeError, ValueError) as exc:
-                raise DomainError(f"amplitudes must be an array of complex numbers: {exc}") from exc
+                raise DomainError(f"{not_complex}: {exc}") from exc
         if amps.ndim != 1:
             raise DomainError(f"amplitudes must be one-dimensional, got shape {amps.shape}")
         if amps.size != d**k:
@@ -229,13 +235,13 @@ class Statevector:
         return float(np.linalg.norm(self.amplitudes))
 
 
-def _check_finite(amps: np.ndarray) -> None:
-    """Raise ``DomainError`` unless every entry is finite, with a mask of one piece, not of the array."""
+def _check_finite(amps: np.ndarray, label: str = "amplitudes") -> None:
+    """Raise ``DomainError`` naming ``label`` unless flat ``amps`` is all finite; masks a piece at a time."""
     step, workers = _split(amps.size)
 
     def check(lo: int) -> None:
         if not np.isfinite(amps[lo : lo + step]).all():
-            raise DomainError("amplitudes must be finite (no NaN or Inf)")
+            raise DomainError(f"{label} must be finite (no NaN or Inf)")
 
     _spread(check, range(0, amps.size, step), workers)
 

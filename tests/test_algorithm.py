@@ -235,6 +235,23 @@ class TestQuantumTrace:
         expected = tensor(basis_state(secret, d), kickback_state(d))
         assert np.max(np.abs(trace.final.amplitudes - expected.amplitudes)) <= 1e-9
 
+    @pytest.mark.parametrize("d,n", [(2, 22), (16, 5), (256, 2), (1024, 1)])
+    def test_final_is_the_closed_form_at_the_budget_edge(self, d, n):
+        # Row s of final is the kickback row and every other row is zero.  No
+        # BLAS-exact reference is involved, so this holds under any kernel.
+        # The off-peak rows are read a block at a time: no second register.
+        secret = random_secret(d, n, np.random.default_rng(d * 1000 + n))
+        rows = quantum_bv_states(LinearOracle(secret, d)).final.amplitudes.reshape(-1, d)
+        peak = encode_digits(secret, d)
+        assert np.max(np.abs(rows[peak] - kickback_state(d).amplitudes)) <= TOL_ALGEBRA
+        step, worst = max(1, _BLOCK // d), 0.0
+        for lo in range(0, len(rows), step):
+            block = np.abs(rows[lo : lo + step])
+            if lo <= peak < lo + step:
+                block[peak - lo] = 0.0
+            worst = max(worst, float(np.max(block)))
+        assert worst <= TOL_ALGEBRA
+
     @pytest.mark.parametrize("d,n", [(16, 3), (64, 2), (2, 16)])
     def test_post_fourier_is_bit_identical_to_the_forward_layer(self, d, n):
         assert np.array_equal(pre_query_state(d, n).amplitudes, forward_layer(d, n).amplitudes)
@@ -402,6 +419,12 @@ class TestRunQuantum:
             quantum_bv_states(LinearOracle((1,), d))
             assert _inverse_fourier.cache_info().currsize <= info.maxsize
         assert _inverse_fourier.cache_info().currsize == info.maxsize
+
+    def test_gate_above_side_256_holds_no_whole_gate_mask(self, traced_peak):
+        # The conjugated columns and the gate's copy of them, with one block of
+        # the unitarity check and one piece of the finiteness check at a time.
+        gate, peak = traced_peak(_inverse_fourier.__wrapped__, 2048)
+        assert peak <= 2.04 * gate.entries.nbytes
 
     def test_kept_gate_and_its_fused_powers_are_read_only(self):
         quantum_bv_states(LinearOracle((2, 0, 1, 1, 2), 3))

@@ -135,6 +135,14 @@ class TestGateMatrix:
         with pytest.raises(DomainError, match=r"not unitary: max \|U U\* - I\| entry is 1\.250e\+00"):
             GateMatrix(entries, 300)
 
+    def test_rejects_a_nan_in_the_last_entry_past_the_first_piece(self):
+        # 90,000 entries are more than a block, so they are checked in pieces.
+        entries = np.eye(300, dtype=complex)
+        entries[-1, -1] = np.nan
+        assert entries.size > _BLOCK
+        with pytest.raises(DomainError, match="gate entries must be finite"):
+            GateMatrix(entries, 300)
+
     def test_unitarity_check_holds_one_block_of_rows(self, traced_peak):
         # Two 16 MiB matrices (the columns and the gate's copy) and a block of
         # at most _BLOCK entries, not the whole d x d product.

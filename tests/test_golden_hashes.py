@@ -1,4 +1,5 @@
-"""Pinned bits of the solve: of the stages that call no BLAS, and of its final state.
+"""Pinned bits of the solve: of the stages that call no BLAS, of its final state,
+and of the command line's stdout.
 
 The stage digests are of the arrays as they were before the row sweeps ran
 strided and the query through lookup tables, so any change to the order in
@@ -11,16 +12,22 @@ products round as the BLAS kernel does, so its digests are pinned for
 OpenBLAS's SkylakeX kernel only.  They hold at every thread count, and they
 are the layer's own bits rather than those of a reference built from the
 same passes, so a change to how the layer fuses or blocks its products
-shows here.
+shows here.  The peak probabilities the command line prints come from that
+state, so its stdout digest is pinned for the same kernel.
 """
 
 import ctypes
 import hashlib
+import importlib.util
+import io
+import sys
+from contextlib import redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from quditbv import LinearOracle, Statevector, quantum_bv_states, random_secret
+from quditbv import LinearOracle, Statevector, cli, quantum_bv_states, random_secret
 from quditbv.algorithm import _fourier_product, marginal_probabilities
 from quditbv.state import _Owned
 
@@ -105,3 +112,49 @@ def test_final_keeps_its_bits_under_the_skylakex_kernel(d, n):
     final = quantum_bv_states(oracle).final
     marginal = marginal_probabilities(final, range(1, n + 1))
     assert (digest(final.amplitudes), digest(marginal)) == FINAL[d, n]
+
+
+# One running sha256 over repr((argv, exit code, stdout)) of cli.main for each
+# argv of cli_argvs(), under OpenBLAS's SkylakeX kernel.
+STDOUT = "d9d37bc2fb67671c61c4df460709a03cbc37f440976fb31342f3daf82b7ce039"
+
+
+def cli_argvs(monkeypatch):
+    """The benchmark's 540 command lines (three workloads, seeds 0-5), then four at the edges.
+
+    ``perfbench/workloads.py`` is loaded by its path, since ``perfbench/`` is
+    not importable while ``tests/`` is collected.
+    """
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("_perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look it up there
+    spec.loader.exec_module(workloads)
+    argvs = [
+        argv
+        for name in ("edge_wide", "edge_qubit", "small_batch")
+        for seed in range(6)
+        for argv in workloads.make_inputs(workloads.WORKLOADS[name], seed).cli_argvs
+    ]
+    edges = [
+        "run --d 16 --n 5 --seed 7",
+        "run --d 2 --n 22 --seed 7",
+        "sweep --d 2..4 --n 1..5 --seed 1",
+        "run --d 256 --n 2 --mode both --seed 2",
+    ]
+    return argvs + [line.split() for line in edges]
+
+
+def test_stdout_keeps_its_bytes_under_the_skylakex_kernel(monkeypatch):
+    core = openblas_core()
+    if core != "SkylakeX":
+        pytest.skip(f"the stdout digest is pinned for OpenBLAS's SkylakeX kernel, not {core}")
+    argvs = cli_argvs(monkeypatch)
+    assert len(argvs) == 544
+    running = hashlib.sha256()
+    for argv in argvs:
+        out = io.StringIO()
+        with redirect_stdout(out):
+            code = cli.main(argv)
+        running.update(repr((argv, code, out.getvalue())).encode())
+    assert running.hexdigest() == STDOUT

@@ -202,6 +202,32 @@ class TestBudgetInput:
         assert amplitude_budget() == 64
 
 
+class TestStateBudget:
+    """A caller's amplitude array counts against the budget before it is copied, as a gate's does."""
+
+    @pytest.fixture(autouse=True)
+    def budget_of_16(self):
+        set_amplitude_budget(16)
+        yield
+        set_amplitude_budget(None)
+
+    def test_over_budget_state_rejected(self):
+        with pytest.raises(CapacityError, match="state.*amplitudes"):
+            Statevector(np.ones(32) / np.sqrt(32), 2, 5)
+
+    def test_over_budget_state_refused_before_its_copy(self, traced_peak):
+        amps = np.zeros(2**18)  # 4 MiB as complex128
+
+        def refuse():
+            with pytest.raises(CapacityError, match="state.*amplitudes"):
+                Statevector(amps, 2, 18)
+
+        assert traced_peak(refuse)[1] < 64 * 1024
+
+    def test_state_within_budget_builds(self):
+        assert Statevector(np.ones(16) / 4, 2, 4).size == 16
+
+
 class TestTensor:
     def test_basis_pair(self):
         out = tensor(basis_state((0,), 2), basis_state((1,), 2))
