@@ -247,7 +247,3 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ConsistencyError as exc:
         print(f"internal consistency error: {exc}", file=sys.stderr)
         return 4
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -174,12 +174,6 @@ def _check_position(pos: int, qudit_count: int, label: str = "position") -> int:
     return pos
 
 
-def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product by one broadcast multiply; ``np.kron`` costs far more per call."""
-    rows, cols = a.shape[0] * b.shape[0], a.shape[1] * b.shape[1]
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(rows, cols)
-
-
 def _layer_passes(gate: GateMatrix, positions: list[int], k: int) -> list[tuple[np.ndarray, int]]:
     """The ``(matrix, right)`` passes that apply ``gate`` at each of ``positions``.
 
@@ -213,9 +207,9 @@ def _layer_passes(gate: GateMatrix, positions: list[int], k: int) -> list[tuple[
             check_capacity(side * side, f"fused gate of side {side}")
             fused = entries
             for _ in range(end - first):
-                fused = _kron(fused, entries)
+                fused = np.kron(fused, entries)
             if pad > 1:
-                fused = _kron(fused, np.eye(pad))
+                fused = np.kron(fused, np.eye(pad))
             fused.flags.writeable = False
             fused = gate._powers.setdefault((side, pad), fused)
         passes.append((fused, d ** (k - end) // pad))

@@ -32,6 +32,8 @@ from quditbv.algorithm import _fourier_product, _inverse_fourier
 from quditbv.state import _BLOCK, _Register
 from quditbv.verification import TOL_ALGEBRA
 
+from test_gates import random_state
+
 
 @pytest.fixture
 def gate_builds(monkeypatch):
@@ -51,11 +53,6 @@ def forward_layer(d, n):
     """The pre-query state as the gate route builds it: F on every qudit of |0...0, d-1>."""
     start = basis_state((0,) * n + (d - 1,), d)
     return apply_local_gate(start, fourier_matrix(d), *range(1, n + 2))
-
-
-def random_state(d, k, rng):
-    raw = rng.normal(size=d**k) + 1j * rng.normal(size=d**k)
-    return Statevector(raw / np.linalg.norm(raw), d, k)
 
 
 def pre_query_state(d, n):
@@ -402,6 +399,29 @@ class TestRunQuantum:
         gate_builds.clear()
         quantum_bv_states(LinearOracle((1, 2), 3))
         assert gate_builds == []
+
+    def test_small_solves_build_no_fused_power_once_their_gates_are_kept(self, monkeypatch):
+        # Each fused power is built on the kept gate's first layer at that
+        # shape, so only the first pass over the small shapes reaches np.kron.
+        kron, calls = np.kron, []
+
+        def counted(a, b):
+            calls.append(b.shape)
+            return kron(a, b)
+
+        shapes = [(d, n) for d in range(2, 10) for n in range(1, 12) if d ** (n + 1) <= 4096]
+
+        def kron_calls_of_one_pass():
+            calls.clear()
+            for d, n in shapes:
+                secret = tuple(i % d for i in range(n))
+                assert run_quantum_bv(LinearOracle(secret, d)).recovered == secret
+            return len(calls)
+
+        monkeypatch.setattr(np, "kron", counted)
+        _inverse_fourier.cache_clear()
+        assert kron_calls_of_one_pass() > 0
+        assert kron_calls_of_one_pass() == 0
 
     def test_above_side_256_every_solve_builds_its_gate(self, gate_builds):
         _inverse_fourier.cache_clear()

@@ -20,10 +20,7 @@ from quditbv.algorithm import _fourier_product
 from quditbv.oracle import _GATHER_CHUNK
 from quditbv.state import _Owned, _Register
 
-
-def random_state(d, k, rng):
-    raw = rng.normal(size=d**k) + 1j * rng.normal(size=d**k)
-    return Statevector(raw / np.linalg.norm(raw), d, k)
+from test_gates import random_state
 
 
 def sum_chain(state, secret):
