@@ -149,10 +149,19 @@ def quantum_bv_states(oracle: LinearOracle) -> QuantumTrace:
     d, n = oracle.d, oracle.n
     check_capacity(d ** (n + 1), "pipeline register")
     inverse = (_inverse_fourier if d * d <= _BLOCK else _inverse_fourier.__wrapped__)(d)
-    row = inverse.entries[d - 1].conj() * math.prod([1 / np.sqrt(d)] * n)
+    row = inverse.entries[d - 1].conj() * math.prod([1 / math.sqrt(d)] * n)
     register = oracle.apply_quantum(_Register(np.empty(d ** (n + 1), np.complex128), d, n + 1, row))
     register = apply_local_gate(register, inverse, *range(1, n + 1))
     return QuantumTrace(Statevector(_Owned(register.amplitudes), d, n + 1))
+
+
+def _kept_positions(state: Statevector, qudits: Sequence[int]) -> tuple[int, ...]:
+    """The distinct positions of ``state``'s qudits that a readout keeps, validated, in the order given."""
+    k = check_type(state, Statevector, "state").qudit_count
+    kept = tuple(_check_position(q, k, "qudit position") for q in check_sequence(qudits, "qudit positions"))
+    if not kept or len(set(kept)) != len(kept):
+        raise DomainError(f"expected one or more distinct qudit positions, got {list(kept)}")
+    return kept
 
 
 def marginal_probabilities(state: Statevector, qudits: Sequence[int]) -> np.ndarray:
@@ -172,13 +181,8 @@ def marginal_probabilities(state: Statevector, qudits: Sequence[int]) -> np.ndar
     summed as its strided columns, ``sq[0::d] + sq[1::d] + ...`` in order:
     the same adds, in the same order, as a row-wise reduce at that ``d``.
     """
-    k = check_type(state, Statevector, "state").qudit_count
-    kept = [_check_position(q, k, "qudit position") for q in check_sequence(qudits, "qudit positions")]
-    if not kept:
-        raise DomainError("at least one qudit must be kept")
-    if len(set(kept)) != len(kept):
-        raise DomainError(f"duplicate qudit positions in {kept}")
-    d = state.d
+    kept = _kept_positions(state, qudits)
+    d, k = state.d, state.qudit_count
     keep_axes = [q - 1 for q in kept]
     lead = 0  # the kept qudits open with 1..lead
     while lead < len(kept) and keep_axes[lead] == lead:
@@ -221,16 +225,25 @@ def measure_register(
     """Sample a readout of the given qudits by inverse-CDF over basis order.
 
     Deterministic for a given generator state: one uniform draw is placed in
-    the cumulative distribution over ascending basis indices.
+    the cumulative distribution over ascending basis indices.  A state keeps
+    its last readout's marginal and CDF, read-only, so repeated draws compute
+    them once: ``16 * d**len(qudits)`` bytes, at most the state's own size,
+    valid because a Statevector is immutable.  A solver's register keeps none.
     """
     check_type(rng, np.random.Generator, "rng")
-    qudits = check_sequence(qudits, "qudit positions")
-    probs = marginal_probabilities(state, qudits)
-    cdf = np.cumsum(probs)
-    cdf[-1] = max(cdf[-1], 1.0)  # so a draw, always below 1, picks an index below probs.size
+    kept = _kept_positions(state, qudits)
+    readout = state._readout
+    if readout is None or readout[0] != kept:
+        probs = marginal_probabilities(state, kept)
+        cdf = np.cumsum(probs)
+        cdf[-1] = max(cdf[-1], 1.0)  # so a draw, always below 1, picks an index below probs.size
+        probs.flags.writeable = cdf.flags.writeable = False
+        readout = (kept, probs, cdf)
+        if not state.amplitudes.flags.writeable:
+            object.__setattr__(state, "_readout", readout)
+    _, probs, cdf = readout
     index = int(np.searchsorted(cdf, rng.random(), side="right"))
-    digits = decode_index(index, state.d, len(qudits))
-    return MeasurementOutcome(digits, float(min(probs[index], 1.0)))
+    return MeasurementOutcome(decode_index(index, state.d, len(kept)), float(min(probs[index], 1.0)))
 
 
 def run_quantum_bv(oracle: LinearOracle, seed: int = 0) -> RunReport:

@@ -44,7 +44,8 @@ from .state import _BLOCK, Statevector, _Owned, _Register, _split, _spread, chec
 # a quarter of state._BLOCK for memory: at _BLOCK a register of up to 2**16
 # amplitudes is one piece, whose int64 tables and index span it whole, and
 # the public query at d=3, n=9 traced 2.24x the state, not 1.30x.  The
-# solve's fill builds no index and goes in the pieces of _BLOCK.
+# solve's fill goes in the pieces of _BLOCK, but np.take copies a block's
+# lead values to intp, so a block takes at most half this many rows.
 _GATHER_CHUNK = 1 << 14
 
 
@@ -149,12 +150,11 @@ def _fill_rotated(out: np.ndarray, row: np.ndarray, secret: tuple[int, ...], d: 
     piece, workers = _split(out.size, _BLOCK)
     lead, values = _groups(row, secret, d, piece)
     group = values.shape[1]  # amplitudes per group
-    per = min(max(1, piece // group), lead.size)  # groups per block
-    view = d * d > piece
+    per = min(max(1, piece // group), lead.size, _GATHER_CHUNK // 2)  # groups per block
 
     def fill(g: int) -> None:
         rows = out[g * group : min(g + per, lead.size) * group].reshape(-1, group)
-        if view:  # np.take would copy the view whole
+        if d * d > piece:  # np.take would copy the view whole
             rows[...] = values[lead[g : g + per]]
         else:  # indices are in range; mode="raise" would buffer the output
             np.take(values, lead[g : g + per], axis=0, out=rows, mode="clip")
@@ -169,24 +169,23 @@ def _groups(values: np.ndarray, secret: tuple[int, ...], d: int, piece: int) -> 
     input digits, where the low part covers the last ``m`` digits: the most
     (down to none) whose ``d`` groups of ``d**m`` rows fit in one piece,
     ``d**(m+2) <= piece``.  ``f_lead`` runs over the other ``d**(n-m)``
-    inputs, so no ``f`` of all ``d**n`` inputs is formed.  ``groups[c]`` is
-    the group of lead value ``c``; only ``groups[0]`` is built when the lead
-    is empty.  When ``d**2`` exceeds a piece, each group is one row and
-    ``groups`` is :func:`_rotations` of ``values``, a view, so no ``d x d``
-    table is built.
+    inputs, and the ``d`` groups are one ``np.take`` of the rotations.  When
+    no digit is low, or every digit is (the one group would be the whole
+    register), each group is one row: the lead values are all of ``f``, and
+    ``groups`` is :func:`_rotations` of ``values``, a view once ``d**2``
+    exceeds a piece and a copy below.
     """
-    n = len(secret)
-    m = n
+    m = n = len(secret)
     while m and d ** (m + 2) > piece:
         m -= 1
-    # The dtype holds an unreduced sum of two digits, at most 2(d-1).
-    steps = (np.multiply.outer(secret, np.arange(d)) % d).astype(np.min_scalar_type(2 * (d - 1)))
-    lead, low = _dot_mod(steps[: n - m], d), _dot_mod(steps[n - m :], d)
+    # The dtype holds d and an unreduced sum of n digits, at most n(d-1).
+    steps = (np.multiply.outer(secret, np.arange(d)) % d).astype(np.min_scalar_type(max(n * (d - 1), d)))
     rotations = _rotations(values)
-    if d * d > piece:
-        return lead, rotations
-    shift = low if lead.size == 1 else (low + np.arange(d)[:, None]) % d
-    return lead, rotations[shift].reshape(-1, low.size * d)
+    if m in (0, n):
+        return _dot_mod(steps, d), rotations if d * d > piece else rotations.copy()
+    lead, low = _dot_mod(steps[: n - m], d), _dot_mod(steps[n - m :], d)
+    shift = (low + np.arange(d)[:, None]) % d
+    return lead, np.take(rotations, shift, axis=0).reshape(-1, low.size * d)
 
 
 def _rotations(values: np.ndarray) -> np.ndarray:
@@ -205,15 +204,13 @@ def _dot_mod(steps: np.ndarray, d: int) -> np.ndarray:
     """``(s . x) mod d`` over the big-endian inputs ``x``, given ``steps[i, v] = (s_i * v) mod d``.
 
     Built one leading digit at a time from the last up, so each add runs a
-    long inner loop over the values so far.
+    long inner loop over the sums so far, and reduced once, at the end:
+    ``steps``' dtype holds the sum of all its rows.
     """
-    if not len(steps):
-        return np.zeros(1, steps.dtype)
     f = steps[-1]
     for step in steps[-2::-1]:
         f = (step[:, None] + f).reshape(-1)
-        f %= d
-    return f
+    return f % d  # a new array: f is a row of steps when there is one
 
 
 def random_secret(d: int, n: int, rng: np.random.Generator) -> tuple[int, ...]:

@@ -15,7 +15,7 @@ import ctypes
 import functools
 import threading
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product
 from typing import Iterator, Sequence
 
@@ -196,6 +196,8 @@ class Statevector:
     amplitudes: np.ndarray
     d: int
     qudit_count: int
+    # The last readout's (positions, probabilities, CDF); see measure_register.
+    _readout: tuple[tuple[int, ...], np.ndarray, np.ndarray] | None = field(init=False, repr=False, default=None)
 
     def __post_init__(self) -> None:
         d = check_dimension(self.d)

@@ -607,3 +607,64 @@ class TestMarginalsAndMeasurement:
             measure_register(state, (1, 2), np.random.default_rng(7)).digits for _ in range(5)
         ]
         assert len(set(outcomes)) == 1
+
+    @pytest.fixture
+    def marginals(self, monkeypatch):
+        """The positions of every marginal computed meanwhile."""
+        computed = []
+
+        def counting(state, qudits):
+            computed.append(tuple(qudits))
+            return marginal_probabilities(state, qudits)
+
+        monkeypatch.setattr("quditbv.algorithm.marginal_probabilities", counting)
+        return computed
+
+    def test_draws_from_one_state_compute_one_marginal(self, marginals):
+        final = quantum_bv_states(LinearOracle((2, 0, 1), 3)).final
+        rng = np.random.default_rng(0)
+        for _ in range(8):
+            assert measure_register(final, range(1, 4), rng).digits == (2, 0, 1)
+        assert marginals == [(1, 2, 3)]
+
+    def test_a_state_keeps_only_its_last_distribution(self, marginals):
+        # One slot: draws that alternate between two orders compute a marginal each.
+        state = random_state(2, 3, np.random.default_rng(5))
+        rng = np.random.default_rng(0)
+        for _ in range(3):
+            measure_register(state, (1, 2), rng)
+            measure_register(state, (2, 1), rng)
+        assert marginals == [(1, 2), (2, 1)] * 3
+
+    @pytest.mark.parametrize("qudits", [[True, 2], [1.0, 2], {1, 2}, (1, 1), (0,), (3,), ()], ids=str)
+    def test_a_kept_distribution_does_not_admit_invalid_positions(self, qudits):
+        # The slot is keyed on validated positions, so (True, 2) and (1.0, 2)
+        # cannot reach the distribution kept for (1, 2).
+        state = basis_state((0, 1), 2)
+        measure_register(state, (1, 2), np.random.default_rng(0))
+        with pytest.raises(DomainError):
+            measure_register(state, qudits, np.random.default_rng(0))
+
+    def test_a_kept_distribution_draws_what_a_fresh_state_draws(self):
+        amps = random_state(3, 4, np.random.default_rng(9)).amplitudes
+        kept = Statevector(amps, 3, 4)
+        measure_register(kept, (4, 2, 3), np.random.default_rng(0))
+        for seed in range(100):
+            fresh = measure_register(Statevector(amps, 3, 4), (4, 2, 3), np.random.default_rng(seed))
+            assert measure_register(kept, (4, 2, 3), np.random.default_rng(seed)) == fresh
+
+    def test_kept_arrays_are_read_only_and_marginals_are_not(self):
+        state = random_state(2, 3, np.random.default_rng(3))
+        measure_register(state, (1, 3), np.random.default_rng(0))
+        positions, probs, cdf = state._readout
+        assert positions == (1, 3)
+        assert not probs.flags.writeable and not cdf.flags.writeable
+        fresh = marginal_probabilities(state, (1, 3))
+        assert fresh.flags.writeable and fresh is not probs
+        assert np.array_equal(fresh, probs)
+
+    def test_a_register_keeps_no_distribution(self):
+        # The solver writes its register in place, so no readout of it may be kept.
+        register = _Register(np.full(8, np.sqrt(0.125), dtype=complex), 2, 3, None)
+        measure_register(register, (1, 2), np.random.default_rng(0))
+        assert register._readout is None

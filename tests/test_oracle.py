@@ -18,7 +18,7 @@ from quditbv import (
 )
 from quditbv.algorithm import _fourier_product
 from quditbv.oracle import _GATHER_CHUNK
-from quditbv.state import _Owned, _Register
+from quditbv.state import _BLOCK, _Owned, _Register
 
 from test_gates import random_state
 
@@ -213,6 +213,18 @@ class TestApplyQuantum:
             peak -= out.amplitudes.nbytes
         assert peak <= 4 * 2**20
 
+    def test_fill_of_a_one_piece_register_holds_under_a_quarter_of_it(self, traced_peak):
+        # The register is one piece, so every digit is low and its one group
+        # would be the register itself: its rows are taken straight from the
+        # rotations of its row, and no table as large as the register is built.
+        d, n = 2, 14
+        assert d ** (n + 2) <= _BLOCK
+        oracle = LinearOracle(random_secret(d, n, np.random.default_rng(14)), d)
+        row = _fourier_product((d - 1,), d) / np.sqrt(d**n)
+        register = _Register(np.empty(d ** (n + 1), complex), d, n + 1, row)
+        _, peak = traced_peak(oracle.apply_quantum, register)
+        assert peak < register.amplitudes.nbytes / 4
+
     @pytest.mark.parametrize("d,n", [(2, 1), (5, 2), (2, 14), (3, 9), (7, 5), (129, 1)])
     def test_in_place_query_equals_out_of_place(self, d, n):
         # A solver's register: the query writes it from its row and returns
@@ -260,10 +272,10 @@ class TestApplyQuantum:
 
     # With gather blocks of 64 amplitudes (pieces of 32), registers of up to
     # 4096 take every case of the one split of f: one block (at most 64
-    # amplitudes), whose lead is empty when d**(n+2) <= 64; and above one
-    # block, blocks of groups of several rows (d = 2, 3), groups of one row
-    # from a d x d table (d = 4, 5), and groups of one row from the rotations
-    # view, since d**2 exceeds a piece (d >= 6).
+    # amplitudes), whose groups are single rows when every digit is low,
+    # d**(n+2) <= 64; and above one block, blocks of groups of several rows
+    # (d = 2, 3), and groups of one row from the rotations (d >= 4): a copy
+    # while d**2 fits a piece, the view from d = 6 on.
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())
     def test_property_equals_chain_of_sum_gates_in_small_blocks(self, data):
@@ -321,11 +333,12 @@ class TestSolvePathQuery:
 
     @pytest.mark.parametrize("d,n", [(2, 14), (3, 9), (7, 5), (90, 2), (129, 1), (256, 1), (300, 1)])
     def test_equals_the_query_of_the_pre_query_state(self, d, n):
-        # Bit for bit, signed zeros included.  (2, 14) is one block with an
-        # empty lead, (3, 9) one block of d groups of rows, (7, 5) several;
-        # (90, 2) takes groups of one row from a d x d table; (129, 1) and
-        # (256, 1) are one block that reads a d x d table; (300, 1) takes
-        # rows from a view.
+        # Bit for bit, signed zeros included.  (2, 14) is one block whose
+        # every digit is low, its rows taken straight from the rotations;
+        # (3, 9) one block of d groups of rows, (7, 5) several; (90, 2) takes
+        # groups of one row from a d x d copy of the rotations, and so do
+        # (129, 1) and (256, 1), one block each; (300, 1) takes rows from the
+        # view, since d**2 exceeds a block.
         rng = np.random.default_rng(d * n + 2)
         for secret in (random_secret(d, n, rng), (0,) * n, (d - 1,) * n):
             oracle = LinearOracle(secret, d)
@@ -335,10 +348,11 @@ class TestSolvePathQuery:
             assert np.array_equal(found.view(np.uint64), expected.view(np.uint64)), secret
 
     # With gather blocks of 64 amplitudes (pieces of 32 above one block),
-    # the fill takes every route: one block with an empty lead (d**(n+2) <=
-    # 64); blocks of groups from a table of d groups (d**2 within a piece);
-    # and rows from a view, once d**2 exceeds a piece (d >= 6 above one
-    # block).
+    # the fill takes every route: one block whose every digit is low
+    # (d**(n+2) <= 64), in blocks of up to 32 rows from the rotations; blocks
+    # of groups from a table of d groups; and groups of one row, from a copy
+    # of the rotations while d**2 fits a piece, and from the view once it
+    # exceeds one (d >= 6 above one block).
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())
     def test_property_equals_the_query_of_the_pre_query_state_in_small_blocks(self, data):
